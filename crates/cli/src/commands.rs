@@ -460,12 +460,6 @@ fn parse_slot_spec(flag: &str, spec: &str) -> Result<(u16, u16), CliError> {
 pub fn cmd_serve(args: &ArgMap) -> Result<String, CliError> {
     use gsknn_serve::{PartitionCfg, ServeIndex, Server, ServerConfig};
 
-    if args.opt::<usize>("workers")?.is_some() {
-        eprintln!(
-            "gsknn-serve: warning: --workers is deprecated and ignored \
-             (shards run kernels inline; use --shards to scale)"
-        );
-    }
     let x = if args.opt::<String>("in")?.is_some() {
         load(args)?
     } else {
@@ -542,7 +536,6 @@ pub fn cmd_serve(args: &ArgMap) -> Result<String, CliError> {
         shards: args.get_or("shards", 1usize)?,
         pin_cores: args.get_or("pin-cores", false)?,
         adaptive_coalesce: args.get_or("adaptive-coalesce", false)?,
-        workers_per_lane: args.get_or("workers", 1)?,
         queue_cap: args.get_or("queue-cap", 1024)?,
         coalesce_frac: args.get_or("frac", 0.9)?,
         max_batch: args.get_or("max-batch", 512)?,
@@ -1292,7 +1285,7 @@ fn serve_metrics(cand: &serde_json::Value, priors: &[serde_json::Value]) -> Vec<
             name: "router kernel_pct".to_string(),
             baseline: priors
                 .iter()
-                .filter_map(|r| stage_val(r))
+                .filter_map(stage_val)
                 .filter(|&v| v > 0.0)
                 .collect(),
             candidate: val,

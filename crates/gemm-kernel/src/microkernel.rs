@@ -12,9 +12,7 @@
 
 //! The f32 kernels double the lane count at the same register budget:
 //! `MR = 8`, `NR = 8` singles is an 8×8 tile held in eight `f32x8`
-//! accumulators (AVX2), or four `zmm` registers of two adjacent rows each
-//! (AVX-512F) — the same register-pairing trick as the f64 512-bit
-//! kernel, so both precisions share one packing layout per type.
+//! accumulators (AVX2).
 
 use gsknn_scalar::GsknnScalar;
 
@@ -130,49 +128,6 @@ pub unsafe fn kernel_8x4_avx2(
     }
 }
 
-/// AVX-512F micro-kernel: four 512-bit accumulators, each covering two
-/// adjacent tile rows (rows `2j`/`2j+1`), so one FMA feeds eight C
-/// entries — half the instruction count of the AVX2 kernel at the same
-/// 8×4 tile shape (and hence the same packing layout).
-///
-/// # Safety
-/// See [`MicroKernelFn`]; caller must ensure AVX-512F is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-pub unsafe fn kernel_8x4_avx512(
-    dcb: usize,
-    alpha: f64,
-    ap: *const f64,
-    bp: *const f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    use std::arch::x86_64::*;
-    let spread = _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0);
-    let mut acc = [_mm512_setzero_pd(); MR / 2];
-    for p in 0..dcb {
-        let b = _mm512_broadcast_f64x4(_mm256_loadu_pd(bp.add(p * NR)));
-        let a_row = ap.add(p * MR);
-        for (j, accj) in acc.iter_mut().enumerate() {
-            // lanes 0..4 = a(2j), lanes 4..8 = a(2j+1)
-            let pair = _mm512_castpd128_pd512(_mm_loadu_pd(a_row.add(2 * j)));
-            let a = _mm512_permutexvar_pd(spread, pair);
-            *accj = _mm512_fmadd_pd(a, b, *accj);
-        }
-    }
-    let va = _mm512_set1_pd(alpha);
-    for (j, &a) in acc.iter().enumerate() {
-        // C rows are ldc apart: split the zmm back into two ymm stores
-        let lo = _mm512_castpd512_pd256(a);
-        let hi = _mm512_extractf64x4_pd(a, 1);
-        let d0 = c.add(2 * j * ldc);
-        let d1 = c.add((2 * j + 1) * ldc);
-        let va4 = _mm512_castpd512_pd256(va);
-        _mm256_storeu_pd(d0, _mm256_fmadd_pd(va4, lo, _mm256_loadu_pd(d0)));
-        _mm256_storeu_pd(d1, _mm256_fmadd_pd(va4, hi, _mm256_loadu_pd(d1)));
-    }
-}
-
 /// Pick the best micro-kernel for the running CPU (decided once).
 pub fn microkernel_dispatch() -> MicroKernelFn {
     #[cfg(target_arch = "x86_64")]
@@ -180,17 +135,7 @@ pub fn microkernel_dispatch() -> MicroKernelFn {
         use std::sync::OnceLock;
         static CHOICE: OnceLock<MicroKernelFn> = OnceLock::new();
         *CHOICE.get_or_init(|| {
-            // AVX2 preferred over AVX-512 (matching gsknn-core's fused
-            // kernel): on the target Xeons the 512-bit path measures a
-            // few percent slower — see the `simd_ablation` harness.
-            // `GSKNN_GEMM_AVX512=1` opts in for wide-vector parts.
-            let want_512 = std::env::var_os("GSKNN_GEMM_AVX512").is_some();
-            if want_512
-                && std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                kernel_8x4_avx512
-            } else if std::arch::is_x86_feature_detected!("avx2")
+            if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
                 kernel_8x4_avx2
@@ -271,66 +216,14 @@ pub unsafe fn kernel_8x8_f32_avx2(
     }
 }
 
-/// AVX-512F f32 micro-kernel: four 512-bit accumulators, each covering
-/// two adjacent 8-wide tile rows — the same two-rows-per-register pairing
-/// as the f64 AVX-512 kernel, now with 16 lanes per FMA.
-///
-/// # Safety
-/// See [`MicroKernelFn`]; caller must ensure AVX-512F is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-pub unsafe fn kernel_8x8_f32_avx512(
-    dcb: usize,
-    alpha: f32,
-    ap: *const f32,
-    bp: *const f32,
-    c: *mut f32,
-    ldc: usize,
-) {
-    use std::arch::x86_64::*;
-    let spread = _mm512_set_epi32(1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0);
-    let mut acc = [_mm512_setzero_ps(); MR_F32 / 2];
-    for p in 0..dcb {
-        // duplicate the 8-lane B row into both 256-bit halves
-        let b256 = _mm512_castps256_ps512(_mm256_loadu_ps(bp.add(p * NR_F32)));
-        let b = _mm512_shuffle_f32x4(b256, b256, 0b0100_0100);
-        let a_row = ap.add(p * MR_F32);
-        for (j, accj) in acc.iter_mut().enumerate() {
-            // lanes 0..8 = a(2j), lanes 8..16 = a(2j+1); 8-byte load only
-            let two = _mm_castsi128_ps(_mm_loadl_epi64(a_row.add(2 * j) as *const __m128i));
-            let a = _mm512_permutexvar_ps(spread, _mm512_castps128_ps512(two));
-            *accj = _mm512_fmadd_ps(a, b, *accj);
-        }
-    }
-    let va = _mm256_set1_ps(alpha);
-    for (j, &a) in acc.iter().enumerate() {
-        // split the zmm back into two 8-wide row stores (avx512f-only
-        // extraction via the f64x4 view)
-        let lo = _mm512_castps512_ps256(a);
-        let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(a), 1));
-        let d0 = c.add(2 * j * ldc);
-        let d1 = c.add((2 * j + 1) * ldc);
-        _mm256_storeu_ps(d0, _mm256_fmadd_ps(va, lo, _mm256_loadu_ps(d0)));
-        _mm256_storeu_ps(d1, _mm256_fmadd_ps(va, hi, _mm256_loadu_ps(d1)));
-    }
-}
-
 /// Pick the best f32 micro-kernel for the running CPU (decided once).
-/// Mirrors [`microkernel_dispatch`]: AVX2 by default,
-/// `GSKNN_GEMM_AVX512=1` opts into the 512-bit kernel.
 pub fn microkernel_dispatch_f32() -> MicroKernelFnT<f32> {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
         static CHOICE: OnceLock<MicroKernelFnT<f32>> = OnceLock::new();
         *CHOICE.get_or_init(|| {
-            let want_512 = std::env::var_os("GSKNN_GEMM_AVX512").is_some();
-            if want_512
-                && std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                kernel_8x8_f32_avx512
-            } else if std::arch::is_x86_feature_detected!("avx2")
+            if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
                 kernel_8x8_f32_avx2
@@ -406,7 +299,7 @@ mod tests {
             let (ap, bp_v) = panels(depth);
             let mut bp = crate::AlignedBuf::zeroed(bp_v.len());
             bp.as_mut_slice().copy_from_slice(&bp_v);
-            let ldc = NR;
+            let ldc = NR + 2; // strided C: row stores must honour ldc
             let mut got = vec![0.5; MR * ldc];
             let mut want = got.clone();
             unsafe {
@@ -421,45 +314,6 @@ mod tests {
                 kernel_8x4_scalar(
                     depth,
                     1.5,
-                    ap.as_ptr(),
-                    bp.as_slice().as_ptr(),
-                    want.as_mut_ptr(),
-                    ldc,
-                );
-            }
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-10, "depth {depth}: {g} vs {w}");
-            }
-        }
-    }
-
-    #[test]
-    #[cfg_attr(not(target_arch = "x86_64"), ignore)]
-    fn avx512_matches_scalar() {
-        if !std::arch::is_x86_feature_detected!("avx512f")
-            || !std::arch::is_x86_feature_detected!("fma")
-        {
-            return;
-        }
-        for depth in [1usize, 2, 7, 31, 256] {
-            let (ap, bp_v) = panels(depth);
-            let mut bp = crate::AlignedBuf::zeroed(bp_v.len());
-            bp.as_mut_slice().copy_from_slice(&bp_v);
-            let ldc = NR + 2; // strided C to exercise the two-row stores
-            let mut got = vec![0.25; MR * ldc];
-            let mut want = got.clone();
-            unsafe {
-                kernel_8x4_avx512(
-                    depth,
-                    -2.0,
-                    ap.as_ptr(),
-                    bp.as_slice().as_ptr(),
-                    got.as_mut_ptr(),
-                    ldc,
-                );
-                kernel_8x4_scalar(
-                    depth,
-                    -2.0,
                     ap.as_ptr(),
                     bp.as_slice().as_ptr(),
                     want.as_mut_ptr(),
@@ -527,7 +381,7 @@ mod tests {
             let (ap, bp_v) = panels_f32(depth);
             let mut bp = crate::AlignedBuf::<f32>::zeroed(bp_v.len());
             bp.as_mut_slice().copy_from_slice(&bp_v);
-            let ldc = NR_F32;
+            let ldc = NR_F32 + 2; // strided C: row stores must honour ldc
             let mut got = vec![0.5f32; MR_F32 * ldc];
             let mut want = got.clone();
             unsafe {
@@ -551,48 +405,6 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 // FMA contracts the multiply-add, scalar does not: allow
                 // a few ulps over the f32 epsilon per accumulated term
-                assert!(
-                    (g - w).abs() < 1e-4 * depth as f32,
-                    "depth {depth}: {g} vs {w}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[cfg_attr(not(target_arch = "x86_64"), ignore)]
-    fn f32_avx512_matches_scalar() {
-        if !std::arch::is_x86_feature_detected!("avx512f")
-            || !std::arch::is_x86_feature_detected!("fma")
-        {
-            return;
-        }
-        for depth in [1usize, 2, 7, 31, 256] {
-            let (ap, bp_v) = panels_f32(depth);
-            let mut bp = crate::AlignedBuf::<f32>::zeroed(bp_v.len());
-            bp.as_mut_slice().copy_from_slice(&bp_v);
-            let ldc = NR_F32 + 2; // strided C to exercise the two-row stores
-            let mut got = vec![0.25f32; MR_F32 * ldc];
-            let mut want = got.clone();
-            unsafe {
-                kernel_8x8_f32_avx512(
-                    depth,
-                    -2.0,
-                    ap.as_ptr(),
-                    bp.as_slice().as_ptr(),
-                    got.as_mut_ptr(),
-                    ldc,
-                );
-                kernel_8x8_f32_scalar(
-                    depth,
-                    -2.0,
-                    ap.as_ptr(),
-                    bp.as_slice().as_ptr(),
-                    want.as_mut_ptr(),
-                    ldc,
-                );
-            }
-            for (g, w) in got.iter().zip(&want) {
                 assert!(
                     (g - w).abs() < 1e-4 * depth as f32,
                     "depth {depth}: {g} vs {w}"

@@ -48,7 +48,7 @@ pub mod variants;
 
 pub use buffers::{GsknnWorkspace, KernelStats};
 pub use kernel::{BatchScratch, Gsknn, GsknnConfig};
-pub use microkernel::{set_simd_level, simd_level, FusedScalar, SimdLevel};
+pub use microkernel::FusedScalar;
 pub use model::{MachineParams, Model, ProblemSize};
 pub use obs::{Phase, PhaseSet};
 pub use params::Variant;

@@ -24,60 +24,13 @@
 
 mod avx2;
 mod avx2_f32;
-mod avx512;
-mod avx512_f32;
 
 use dataset::DistanceKind;
 pub use gemm_kernel::{MR, NR};
 use gsknn_scalar::{GsknnScalar, MAX_TILE};
 
 #[cfg(target_arch = "x86_64")]
-pub use avx2::{available as avx2_available, row_filter_mask};
-#[cfg(target_arch = "x86_64")]
-pub use avx512::available as avx512_available;
-
-/// Which SIMD implementation of the micro-kernel to run. [`SimdLevel::Auto`]
-/// (the default) picks the widest supported path; the explicit levels
-/// exist for the ISA-ablation benches and for debugging. A requested
-/// level that the CPU does not support silently degrades to the next
-/// narrower one — results are identical across levels by construction
-/// (verified by tests), only speed differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// Portable scalar loops (also the `Lp(p)` and fringe path).
-    Scalar,
-    /// 256-bit AVX2+FMA kernels.
-    Avx2,
-    /// 512-bit AVX-512F kernels (two tile rows per register).
-    Avx512,
-    /// Widest supported (the default).
-    Auto,
-}
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-static FORCED_LEVEL: AtomicU8 = AtomicU8::new(3); // Auto
-
-/// Force a SIMD level process-wide (benchmarks/ablations). `Auto` resets.
-pub fn set_simd_level(level: SimdLevel) {
-    let v = match level {
-        SimdLevel::Scalar => 0,
-        SimdLevel::Avx2 => 1,
-        SimdLevel::Avx512 => 2,
-        SimdLevel::Auto => 3,
-    };
-    FORCED_LEVEL.store(v, Ordering::Relaxed);
-}
-
-/// The currently forced SIMD level.
-pub fn simd_level() -> SimdLevel {
-    match FORCED_LEVEL.load(Ordering::Relaxed) {
-        0 => SimdLevel::Scalar,
-        1 => SimdLevel::Avx2,
-        2 => SimdLevel::Avx512,
-        _ => SimdLevel::Auto,
-    }
-}
+pub use avx2::row_filter_mask;
 
 /// One `MR×NR` f64 distance tile, row-major (`i*NR + j`). Generic code
 /// sizes its stack tile by [`gsknn_scalar::MAX_TILE`] instead.
@@ -108,7 +61,7 @@ pub enum PassMode<'a, T: GsknnScalar = f64> {
 
 /// Precision-specific entry points of the fused kernel. Implemented for
 /// `f64` (the paper's 8×4 tile) and `f32` (8×8); each implementor owns
-/// its SIMD dispatch, honoring the process-wide [`SimdLevel`].
+/// its SIMD dispatch (AVX2+FMA when the CPU has it, else scalar).
 pub trait FusedScalar: GsknnScalar {
     /// One fused micro-kernel pass; see [`tile_pass`] for the contract.
     fn fused_tile_pass(
@@ -167,27 +120,10 @@ impl FusedScalar for f64 {
         mode: PassMode<'_, f64>,
     ) {
         #[cfg(target_arch = "x86_64")]
-        {
-            let vectorizable = !matches!(kind, DistanceKind::Lp(_));
-            let forced = simd_level();
-            // `Auto` prefers AVX2: the `simd_ablation` harness measures the
-            // AVX-512 kernel a few percent *slower* on the Xeons we target
-            // (permute overhead in the two-rows-per-register layout plus
-            // 512-bit license downclocking). Force `Avx512` to use it anyway.
-            let use_512 = vectorizable && avx512::available() && forced == SimdLevel::Avx512;
-            if use_512 {
-                // SAFETY: AVX-512F checked; slice lengths checked by tile_pass.
-                unsafe { avx512::tile_pass_avx512(kind, dcb, ap, bp, q2, r2, mode) };
-                return;
-            }
-            let use_256 = vectorizable
-                && avx2::available()
-                && matches!(forced, SimdLevel::Auto | SimdLevel::Avx2);
-            if use_256 {
-                // SAFETY: AVX2+FMA checked; slice lengths checked by tile_pass.
-                unsafe { avx2::tile_pass_avx2(kind, dcb, ap, bp, q2, r2, mode) };
-                return;
-            }
+        if !matches!(kind, DistanceKind::Lp(_)) && avx2::available() {
+            // SAFETY: AVX2+FMA checked; slice lengths checked by tile_pass.
+            unsafe { avx2::tile_pass_avx2(kind, dcb, ap, bp, q2, r2, mode) };
+            return;
         }
         scalar_dispatch(kind, dcb, ap, bp, q2, r2, mode)
     }
@@ -229,26 +165,10 @@ impl FusedScalar for f32 {
         mode: PassMode<'_, f32>,
     ) {
         #[cfg(target_arch = "x86_64")]
-        {
-            let vectorizable = !matches!(kind, DistanceKind::Lp(_));
-            let forced = simd_level();
-            // Same policy as f64: Auto prefers the 256-bit kernel; the
-            // 512-bit one (16 lanes, two 8-wide tile rows per register)
-            // must be opted into via `SimdLevel::Avx512`.
-            let use_512 = vectorizable && avx512::available() && forced == SimdLevel::Avx512;
-            if use_512 {
-                // SAFETY: AVX-512F checked; slice lengths checked by tile_pass.
-                unsafe { avx512_f32::tile_pass_avx512_f32(kind, dcb, ap, bp, q2, r2, mode) };
-                return;
-            }
-            let use_256 = vectorizable
-                && avx2::available()
-                && matches!(forced, SimdLevel::Auto | SimdLevel::Avx2);
-            if use_256 {
-                // SAFETY: AVX2+FMA checked; slice lengths checked by tile_pass.
-                unsafe { avx2_f32::tile_pass_avx2_f32(kind, dcb, ap, bp, q2, r2, mode) };
-                return;
-            }
+        if !matches!(kind, DistanceKind::Lp(_)) && avx2::available() {
+            // SAFETY: AVX2+FMA checked; slice lengths checked by tile_pass.
+            unsafe { avx2_f32::tile_pass_avx2_f32(kind, dcb, ap, bp, q2, r2, mode) };
+            return;
         }
         scalar_dispatch(kind, dcb, ap, bp, q2, r2, mode)
     }
@@ -583,7 +503,13 @@ mod tests {
         check_norm_t::<f32>(DistanceKind::Lp(3.0), 12, 1e-4);
     }
 
-    fn simd_levels_agree_for<T: FusedScalar>(tol: f64) {
+    /// The per-ISA tile function under test, as `fused_tile_pass` calls it.
+    #[cfg(target_arch = "x86_64")]
+    type SimdTilePass<T> =
+        for<'a> unsafe fn(DistanceKind, usize, &[T], &[T], &[T], &[T], PassMode<'a, T>);
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_agrees_with_scalar_for<T: FusedScalar>(simd: SimdTilePass<T>, tol: f64) {
         let d = 37;
         let (mr, nr) = (T::MR, T::NR);
         let x: PointSet<T> = uniform(mr + nr, d, 21).cast();
@@ -602,55 +528,44 @@ mod tests {
             DistanceKind::LInf,
             DistanceKind::Cosine,
         ] {
-            let run = |level: SimdLevel| {
-                set_simd_level(level);
-                let mut out = [T::ZERO; MAX_TILE];
-                tile_pass(
-                    kind,
-                    d,
-                    &ap,
-                    &bp,
-                    &q2,
-                    &r2,
-                    PassMode::Last {
-                        prior: None,
-                        out: &mut out,
-                    },
-                );
-                set_simd_level(SimdLevel::Auto);
-                out
+            let mut scalar = [T::ZERO; MAX_TILE];
+            let mode = PassMode::Last {
+                prior: None,
+                out: &mut scalar,
             };
-            let scalar = run(SimdLevel::Scalar);
-            for level in [SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Auto] {
-                let got = run(level);
-                for (a, b) in scalar[..mr * nr].iter().zip(&got[..mr * nr]) {
-                    let (a, b) = (a.to_f64(), b.to_f64());
-                    assert!(
-                        (a - b).abs() <= tol * (1.0 + a.abs()),
-                        "{} {} {level:?}: {a} vs {b}",
-                        T::NAME,
-                        kind.name()
-                    );
-                }
+            scalar_dispatch(kind, d, &ap, &bp, &q2, &r2, mode);
+            let mut got = [T::ZERO; MAX_TILE];
+            let mode = PassMode::Last {
+                prior: None,
+                out: &mut got,
+            };
+            // SAFETY: the caller checked AVX2+FMA; panels hold d*MR / d*NR
+            // elements, norms MR / NR, `got` MAX_TILE ≥ MR*NR.
+            unsafe { simd(kind, d, &ap, &bp, &q2, &r2, mode) };
+            for (a, b) in scalar[..mr * nr].iter().zip(&got[..mr * nr]) {
+                let (a, b) = (a.to_f64(), b.to_f64());
+                assert!(
+                    (a - b).abs() <= tol * (1.0 + a.abs()),
+                    "{} {}: scalar {a} vs avx2 {b}",
+                    T::NAME,
+                    kind.name()
+                );
             }
         }
     }
 
     #[test]
-    fn all_simd_levels_agree() {
-        // scalar / AVX2 / AVX-512 (whichever are supported) must produce
-        // matching tiles on every vectorizable norm, in both precisions.
-        // (The only test that touches the global level, so it cannot race
-        // with other tests in the binary.)
-        set_simd_level(SimdLevel::Scalar);
-        assert_eq!(simd_level(), SimdLevel::Scalar);
-        set_simd_level(SimdLevel::Auto);
-        assert_eq!(simd_level(), SimdLevel::Auto);
-
-        simd_levels_agree_for::<f64>(1e-10);
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_tiles_agree_with_scalar() {
+        // the AVX2 kernel must match the scalar loops on every
+        // vectorizable norm, in both precisions
+        if !avx2::available() {
+            return;
+        }
+        avx2_agrees_with_scalar_for::<f64>(avx2::tile_pass_avx2, 1e-10);
         // f32: SIMD FMA keeps the product unrounded, the scalar path
         // rounds twice — a few f32 ulps of drift is expected
-        simd_levels_agree_for::<f32>(5e-6);
+        avx2_agrees_with_scalar_for::<f32>(avx2_f32::tile_pass_avx2_f32, 5e-6);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use crate::metrics::{RouterMetrics, RouterReport};
 use gsknn_obs::{align_spans, chrome_trace_json, StageBreakdown, Trace, TraceRing, TraceSpan};
 use gsknn_scalar::GsknnScalar;
+use gsknn_serve::server::{install_sigterm, metrics_listener, sigterm_received};
 use gsknn_serve::wire::{
     decode_partial, encode_response, read_frame_poll, write_frame, PartialHeader, Precision,
     QueryBody, Request, Response, Status,
@@ -12,31 +13,10 @@ use gsknn_serve::wire::{
 use gsknn_serve::{wire, Client};
 use knn_select::{encoded_len_of, merge_partial_tables, NeighborTable};
 use serde_json::Value;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Process-wide SIGTERM flag (the handler may not touch anything else).
-static SIGTERM: AtomicBool = AtomicBool::new(false);
-
-/// Register a minimal SIGTERM handler that flips [`SIGTERM`], so `kill`
-/// drains the router exactly like the wire `Shutdown` op. No-op off unix.
-fn install_sigterm() {
-    #[cfg(unix)]
-    {
-        extern "C" fn on_term(_signum: i32) {
-            SIGTERM.store(true, Ordering::SeqCst);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGTERM_NUM: i32 = 15;
-        unsafe {
-            signal(SIGTERM_NUM, on_term as *const () as usize);
-        }
-    }
-}
 
 /// Router tuning knobs.
 #[derive(Clone, Debug)]
@@ -282,10 +262,14 @@ impl Router {
         std::thread::scope(|s| {
             s.spawn(move || prober(shared));
             if let Some(addr) = shared.cfg.metrics_addr.clone() {
-                s.spawn(move || metrics_listener(&addr, shared));
+                s.spawn(move || {
+                    metrics_listener(&addr, "gsknn-router", &shared.shutdown, || {
+                        shared.metrics.render_prometheus(&shared.health_snapshot())
+                    })
+                });
             }
             loop {
-                if SIGTERM.load(Ordering::SeqCst) {
+                if sigterm_received() {
                     shared.shutdown.store(true, Ordering::SeqCst);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -526,6 +510,21 @@ fn pull_reply<T: GsknnScalar>(
             .and_then(|_| c.recv_response()),
         None => Err(io::Error::from(io::ErrorKind::NotConnected)),
     };
+    classify_reply(shared, i, b, p, n_parts, m, resp)
+}
+
+/// Turn the outcome of one exchange with backend `i` (serving partition
+/// `p`) into a [`Pulled`]: validate the partial, count epoch rejects,
+/// and mark the backend down on transport/protocol/epoch failure.
+fn classify_reply<T: GsknnScalar>(
+    shared: &Shared,
+    i: usize,
+    b: &mut BackendConn,
+    p: usize,
+    n_parts: u16,
+    m: usize,
+    resp: io::Result<Response>,
+) -> Pulled<T> {
     match resp {
         Ok(r) => match validate_partial::<T>(&r, shared.cfg.epoch, n_parts, m, p as u32) {
             Ok((header, table, annex)) => Pulled::Good(header, table, annex),
@@ -752,32 +751,7 @@ fn route_query_t<T: GsknnScalar>(
                     }
                     Err(e) => Err(e),
                 };
-                let pulled = match resp {
-                    Ok(r) => match validate_partial::<T>(&r, cfg.epoch, total, q.m, p as u32) {
-                        Ok((h, t, annex)) => Pulled::Good(h, t, annex),
-                        Err(Reject::Busy) => Pulled::Busy,
-                        Err(Reject::TimedOut) => Pulled::Late,
-                        Err(Reject::Bad(msg)) => Pulled::Bad(msg),
-                        Err(Reject::EpochMismatch(got)) => {
-                            shared.metrics.epoch_rejects.fetch_add(1, Ordering::Relaxed);
-                            backend_down(
-                                shared,
-                                prim,
-                                b,
-                                &format!("partial from epoch {got}, router at {}", cfg.epoch),
-                            );
-                            Pulled::Dead
-                        }
-                        Err(Reject::Error(msg)) => {
-                            backend_down(shared, prim, b, &msg);
-                            Pulled::Dead
-                        }
-                    },
-                    Err(e) => {
-                        backend_down(shared, prim, b, &e.to_string());
-                        Pulled::Dead
-                    }
-                };
+                let pulled = classify_reply::<T>(shared, prim, b, p, total, q.m, resp);
                 fold(shared, prim, attempt_sent, pulled, &mut partition_ok);
             }
             Some(sib) => {
@@ -1180,52 +1154,6 @@ fn prober(shared: &Shared) {
             let tick = left.min(Duration::from_millis(25));
             std::thread::sleep(tick);
             left = left.saturating_sub(tick);
-        }
-    }
-}
-
-/// Minimal HTTP/1.1 responder for the Prometheus exposition — same
-/// best-effort contract as the serve tier's listener.
-fn metrics_listener(addr: &str, shared: &Shared) {
-    let listener = match TcpListener::bind(addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("gsknn-router: metrics listener failed to bind {addr}: {e}");
-            return;
-        }
-    };
-    let _ = listener.set_nonblocking(true);
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                let mut head = Vec::new();
-                let mut buf = [0u8; 1024];
-                loop {
-                    match stream.read(&mut buf) {
-                        Ok(0) => break,
-                        Ok(n) => {
-                            head.extend_from_slice(&buf[..n]);
-                            if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > 8192 {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let body = shared.metrics.render_prometheus(&shared.health_snapshot());
-                let resp = format!(
-                    "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; \
-                     charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-                    body.len(),
-                    body
-                );
-                let _ = stream.write_all(resp.as_bytes());
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }

@@ -67,9 +67,10 @@ use std::time::{Duration, Instant};
 /// Process-wide SIGTERM flag (the handler may not touch anything else).
 static SIGTERM: AtomicBool = AtomicBool::new(false);
 
-/// Register a minimal SIGTERM handler that flips [`SIGTERM`], so `kill`
-/// drains the server exactly like the wire `Shutdown` op. No-op off unix.
-fn install_sigterm() {
+/// Register a minimal SIGTERM handler that flips a process-wide flag
+/// ([`sigterm_received`]), so `kill` drains a server or router exactly
+/// like the wire `Shutdown` op. No-op off unix.
+pub fn install_sigterm() {
     #[cfg(unix)]
     {
         extern "C" fn on_term(_signum: i32) {
@@ -83,6 +84,11 @@ fn install_sigterm() {
             signal(SIGTERM_NUM, on_term as *const () as usize);
         }
     }
+}
+
+/// `true` once the handler of [`install_sigterm`] has seen a SIGTERM.
+pub fn sigterm_received() -> bool {
+    SIGTERM.load(Ordering::SeqCst)
 }
 
 /// Identity of this server inside a partitioned (scatter-gather)
@@ -146,9 +152,6 @@ pub struct ServerConfig {
     /// batch would save (see [`crate::coalesce::adaptive_should_flush`]).
     /// Off, undersized batches wait out the fixed deadline-half bound.
     pub adaptive_coalesce: bool,
-    /// Legacy knob from the thread-per-connection server; shards execute
-    /// kernels inline, so this is accepted and ignored.
-    pub workers_per_lane: usize,
     /// Admission bound: maximum in-flight query points across both lanes.
     pub queue_cap: usize,
     /// Model trigger: flush when predicted GFLOPS reaches this fraction
@@ -195,7 +198,6 @@ impl Default for ServerConfig {
             shards: 1,
             pin_cores: false,
             adaptive_coalesce: false,
-            workers_per_lane: 1,
             queue_cap: 1024,
             coalesce_frac: 0.9,
             max_batch: 512,
@@ -490,13 +492,17 @@ impl Server {
             }
             // metrics exposition over plain HTTP, if asked for
             if let Some(addr) = cfg.metrics_addr.clone() {
-                s.spawn(move |_| metrics_listener(&addr, shared_ref));
+                s.spawn(move |_| {
+                    metrics_listener(&addr, "gsknn-serve", &shared_ref.shutdown, || {
+                        shared_ref.report().render_prometheus()
+                    })
+                });
             }
 
             // the acceptor: round-robin fresh connections over shards
             let mut next = 0usize;
             loop {
-                if SIGTERM.load(Ordering::SeqCst) {
+                if sigterm_received() {
                     shared_ref.shutdown.store(true, Ordering::SeqCst);
                 }
                 if shared_ref.shutdown.load(Ordering::SeqCst) {
@@ -524,19 +530,20 @@ impl Server {
 }
 
 /// Minimal HTTP/1.1 responder for the Prometheus exposition: every
-/// request on the metrics port gets the current scrape, regardless of
-/// path. Best-effort — a bind failure logs and disables the endpoint
-/// rather than killing the server.
-fn metrics_listener(addr: &str, shared: &Shared) {
+/// request on the metrics port gets the current scrape (`render()`),
+/// regardless of path, until `shutdown` flips. Best-effort — a bind
+/// failure logs (as `who`) and disables the endpoint rather than killing
+/// the tier. The serve and router tiers both run this.
+pub fn metrics_listener(addr: &str, who: &str, shutdown: &AtomicBool, render: impl Fn() -> String) {
     let listener = match TcpListener::bind(addr) {
         Ok(l) => l,
         Err(e) => {
-            eprintln!("gsknn-serve: metrics listener failed to bind {addr}: {e}");
+            eprintln!("{who}: metrics listener failed to bind {addr}: {e}");
             return;
         }
     };
     let _ = listener.set_nonblocking(true);
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -555,7 +562,7 @@ fn metrics_listener(addr: &str, shared: &Shared) {
                         Err(_) => break,
                     }
                 }
-                let body = shared.report().render_prometheus();
+                let body = render();
                 let resp = format!(
                     "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; \
                      charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",

@@ -29,8 +29,11 @@
 //!    under `catch_unwind`. A panicking batch answers its live jobs
 //!    `InternalError`, the workspace is discarded as poisoned and
 //!    rebuilt, and the shard keeps serving.
-//! 5. **Flush** — push buffered replies; partially written frames resume
-//!    on the next `POLLOUT`.
+//! 5. **Flush** — re-parse connections whose paused parser a reply
+//!    just released (frames pipelined behind an in-flight query are
+//!    already buffered, so no readiness event announces them), then push
+//!    buffered replies; partially written frames resume on the next
+//!    `POLLOUT`.
 //!
 //! Parked batches are *state*, not blocked threads: the legacy design
 //! parked a connection-handler thread per in-flight query, so a
@@ -732,11 +735,20 @@ pub(crate) fn shard_main(ctx: ShardCtx<'_>) {
             };
             flush_lane(&mut lane32, shared, stat, reason, &mut sink);
         }
-        // opportunistic writes + retire closing conns whose output drained
+        // resume paused parsers, opportunistic writes, retire closing
+        // conns whose output drained
         for slot in 0..conns.len() {
-            let mut dead = false;
+            // A flush above may have answered the query that paused this
+            // connection's parser. Frames the client pipelined behind it
+            // are already buffered, so no readiness event will announce
+            // them: pick them up here.
+            let resume = conns[slot]
+                .as_ref()
+                .is_some_and(|c| c.pending == 0 && !c.closing && c.instart < c.inbuf.len());
+            let mut dead =
+                resume && !parse_frames(slot, &mut conns, shared, &mut lane64, &mut lane32);
             if let Some(conn) = conns[slot].as_mut() {
-                if conn.outpos < conn.outbuf.len() {
+                if !dead && conn.outpos < conn.outbuf.len() {
                     dead = !conn.try_write();
                 }
                 if !dead && conn.closing && conn.outpos >= conn.outbuf.len() {

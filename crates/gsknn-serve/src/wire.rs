@@ -40,8 +40,7 @@
 //!           replica_id u16, replicas u16, then NeighborTable v2 bytes
 //!           (the table is self-describing, so no inner length field is
 //!           needed and none can disagree), then — iff flag bit 1 — a
-//!           span annex to the end of the body. Version 1 envelopes (no
-//!           replica fields) still decode — they read as replica 0 of 1.
+//!           span annex to the end of the body.
 //!
 //! annex     magic "GSTA", version u16 = 1, span_count u16, then per
 //!           span: name_len u8, name bytes (UTF-8, ≤ 64), start_ns i64
@@ -50,12 +49,14 @@
 //!           decode, never allocated.
 //! ```
 //!
-//! **Trace ids.** Version 2 threads a `u64` trace id through every
-//! query: the client stamps one (0 = "server, assign me one"), the
-//! server echoes it in the response header, so a client can join its
-//! measured RTT against the server's exported trace of the same
-//! request. Version 1 frames (no trace field) still decode — the id
-//! reads as 0 — so old clients keep working against new servers.
+//! **Trace ids.** A `u64` trace id is threaded through every query:
+//! the client stamps one (0 = "server, assign me one"), the server
+//! echoes it in the response header, so a client can join its measured
+//! RTT against the server's exported trace of the same request.
+//!
+//! **Versions.** Each decoder accepts exactly the version its encoder
+//! writes; any other version byte is a typed
+//! [`WireError::BadVersion`], never a guess at an older layout.
 //!
 //! Coordinates travel at the negotiated precision (`f64` or `f32`
 //! little-endian); query responses reuse the [`NeighborTable`] v2
@@ -68,8 +69,7 @@ use bytes::{Buf, BufMut};
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-/// Protocol version stamped in every frame payload. Version 1 (no
-/// trace ids) is still accepted on decode.
+/// Protocol version stamped in every frame payload.
 pub const WIRE_VERSION: u16 = 2;
 /// Hard cap on a frame payload — larger length prefixes are rejected
 /// before any allocation (64 MiB covers ~4M-point f64 batch responses).
@@ -79,9 +79,6 @@ const REQ_MAGIC: &[u8; 4] = b"GSRQ";
 const RESP_MAGIC: &[u8; 4] = b"GSRP";
 const PARTIAL_MAGIC: &[u8; 4] = b"GSPK";
 const PARTIAL_VERSION: u16 = 2;
-/// Pre-replication envelope version, still accepted on decode (reads as
-/// replica 0 of 1).
-const PARTIAL_VERSION_V1: u16 = 1;
 
 /// Element precision negotiated per request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,7 +143,7 @@ pub struct QueryBody {
     /// past the full budget is answered `Timeout` instead of computed.
     pub deadline_ms: u32,
     /// Client-stamped trace id, echoed in the response header. 0 asks
-    /// the server to assign one (also what v1 frames decode to).
+    /// the server to assign one.
     pub trace_id: u64,
     /// Point dimension.
     pub dim: usize,
@@ -169,7 +166,7 @@ pub struct RawQuery<'a> {
     pub k: usize,
     /// Latency budget in milliseconds.
     pub deadline_ms: u32,
-    /// Client-stamped trace id (0 = assign one; v1 frames read as 0).
+    /// Client-stamped trace id (0 = assign one).
     pub trace_id: u64,
     /// Point dimension.
     pub dim: usize,
@@ -331,8 +328,7 @@ impl Status {
 pub struct Response {
     /// Outcome.
     pub status: Status,
-    /// Trace id of the request this answers (0 for non-query ops and
-    /// v1 frames).
+    /// Trace id of the request this answers (0 for non-query ops).
     pub trace_id: u64,
     /// Status-dependent body (see module docs).
     pub body: Vec<u8>,
@@ -417,17 +413,14 @@ pub struct PartialHeader {
     /// Bit 0: the payload was computed on a degraded (f32) lane.
     pub flags: u8,
     /// Which replica of the partition produced the payload,
-    /// `0..replicas` (0 for a router-merged answer and for v1 envelopes
-    /// from pre-replication backends).
+    /// `0..replicas` (0 for a router-merged answer).
     pub replica_id: u16,
-    /// Replicas serving this partition (1 for v1 envelopes).
+    /// Replicas serving this partition.
     pub replicas: u16,
 }
 
 /// Encoded size of a [`PartialHeader`] (magic + version + fields).
 pub const PARTIAL_HEADER_LEN: usize = 4 + 2 + 4 + 8 + 2 + 2 + 1 + 2 + 2;
-/// Encoded size of a v1 (pre-replication) envelope header.
-pub const PARTIAL_HEADER_V1_LEN: usize = 4 + 2 + 4 + 8 + 2 + 2 + 1;
 
 /// Flag bit 1 of a [`PartialHeader`]: a span annex trails the table
 /// bytes in the body. V2-compatible — routers that predate the annex
@@ -476,7 +469,7 @@ pub fn is_partial_body(body: &[u8]) -> bool {
 /// carries its own decode caps.
 pub fn decode_partial(body: &[u8]) -> Result<(PartialHeader, &[u8]), WireError> {
     let mut buf = body;
-    if buf.remaining() < PARTIAL_HEADER_V1_LEN {
+    if buf.remaining() < PARTIAL_HEADER_LEN {
         return Err(WireError::Truncated);
     }
     let mut magic = [0u8; 4];
@@ -485,35 +478,19 @@ pub fn decode_partial(body: &[u8]) -> Result<(PartialHeader, &[u8]), WireError> 
         return Err(WireError::BadMagic);
     }
     let version = buf.get_u16_le();
-    if version != PARTIAL_VERSION && version != PARTIAL_VERSION_V1 {
+    if version != PARTIAL_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let partition_id = buf.get_u32_le();
-    let epoch = buf.get_u64_le();
-    let contributed = buf.get_u16_le();
-    let total = buf.get_u16_le();
-    let flags = buf.get_u8();
-    // v1 envelopes predate replication: a lone copy of the partition
-    let (replica_id, replicas) = if version == PARTIAL_VERSION_V1 {
-        (0, 1)
-    } else {
-        if buf.remaining() < PARTIAL_HEADER_LEN - PARTIAL_HEADER_V1_LEN {
-            return Err(WireError::Truncated);
-        }
-        (buf.get_u16_le(), buf.get_u16_le())
+    let header = PartialHeader {
+        partition_id: buf.get_u32_le(),
+        epoch: buf.get_u64_le(),
+        contributed: buf.get_u16_le(),
+        total: buf.get_u16_le(),
+        flags: buf.get_u8(),
+        replica_id: buf.get_u16_le(),
+        replicas: buf.get_u16_le(),
     };
-    Ok((
-        PartialHeader {
-            partition_id,
-            epoch,
-            contributed,
-            total,
-            flags,
-            replica_id,
-            replicas,
-        },
-        buf,
-    ))
+    Ok((header, buf))
 }
 
 const ANNEX_MAGIC: &[u8; 4] = b"GSTA";
@@ -723,7 +700,7 @@ pub fn decode_request_raw(mut buf: &[u8]) -> Result<RawRequest<'_>, WireError> {
         return Err(WireError::BadMagic);
     }
     let version = buf.get_u16_le();
-    if version != 1 && version != WIRE_VERSION {
+    if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let op = buf.get_u8();
@@ -731,14 +708,13 @@ pub fn decode_request_raw(mut buf: &[u8]) -> Result<RawRequest<'_>, WireError> {
     match op {
         op if op == Op::Query as u8 || op == Op::BatchQuery as u8 => {
             let precision = Precision::from_byte(prec_byte)?;
-            let trace_bytes = if version >= 2 { 8 } else { 0 };
-            let fixed = 2 + 4 + trace_bytes + 4 + if op == Op::BatchQuery as u8 { 4 } else { 0 };
+            let fixed = 2 + 4 + 8 + 4 + if op == Op::BatchQuery as u8 { 4 } else { 0 };
             if buf.remaining() < fixed {
                 return Err(WireError::Truncated);
             }
             let k = buf.get_u16_le() as usize;
             let deadline_ms = buf.get_u32_le();
-            let trace_id = if version >= 2 { buf.get_u64_le() } else { 0 };
+            let trace_id = buf.get_u64_le();
             let dim = buf.get_u32_le() as usize;
             let m = if op == Op::BatchQuery as u8 {
                 buf.get_u32_le() as usize
@@ -805,21 +781,16 @@ pub fn decode_response(mut buf: &[u8]) -> Result<Response, WireError> {
         return Err(WireError::BadMagic);
     }
     let version = buf.get_u16_le();
-    if version != 1 && version != WIRE_VERSION {
+    if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let status = Status::from_byte(buf.get_u8())?;
-    let trace_id = if version >= 2 {
-        if buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        buf.get_u64_le()
-    } else {
-        0
-    };
+    if buf.remaining() < 8 {
+        return Err(WireError::Truncated);
+    }
     Ok(Response {
         status,
-        trace_id,
+        trace_id: buf.get_u64_le(),
         body: buf.to_vec(),
     })
 }
@@ -1088,8 +1059,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_request_frames_still_decode_with_zero_trace_id() {
-        // hand-built version-1 BatchQuery: no trace_id field on the wire
+    fn v1_request_frames_are_rejected_with_bad_version() {
+        // hand-built, well-formed version-1 BatchQuery (no trace_id
+        // field on the wire): one protocol generation, typed rejection
         let mut buf = Vec::new();
         buf.extend_from_slice(REQ_MAGIC);
         buf.extend_from_slice(&1u16.to_le_bytes()); // version 1
@@ -1102,25 +1074,30 @@ mod tests {
         for v in [1.0f32, 2.0, 3.0, 4.0] {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        let Request::Query(q) = decode_request(&buf).unwrap() else {
-            panic!("not a query");
-        };
-        assert_eq!(q.trace_id, 0, "v1 frames carry no trace id");
-        assert_eq!((q.k, q.deadline_ms, q.dim, q.m), (3, 200, 2, 2));
-        assert_eq!(q.coords, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(decode_request(&buf).unwrap_err(), WireError::BadVersion(1));
+        assert_eq!(
+            decode_request_raw(&buf).unwrap_err(),
+            WireError::BadVersion(1)
+        );
+        // every prefix of it is a typed error too, never a panic
+        for cut in 0..buf.len() {
+            assert!(decode_request(&buf[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
-    fn v1_response_frames_still_decode_with_zero_trace_id() {
+    fn v1_response_frames_are_rejected_with_bad_version() {
         let mut buf = Vec::new();
         buf.extend_from_slice(RESP_MAGIC);
         buf.extend_from_slice(&1u16.to_le_bytes()); // version 1
         buf.push(0); // Status::Ok
         buf.extend_from_slice(b"payload");
-        let resp = decode_response(&buf).unwrap();
-        assert_eq!(resp.status, Status::Ok);
-        assert_eq!(resp.trace_id, 0);
-        assert_eq!(resp.body, b"payload");
+        assert_eq!(decode_response(&buf).unwrap_err(), WireError::BadVersion(1));
+        // the shortest well-formed v1 response (empty body) as well
+        assert_eq!(
+            decode_response(&buf[..7]).unwrap_err(),
+            WireError::BadVersion(1)
+        );
     }
 
     #[test]
@@ -1196,24 +1173,23 @@ mod tests {
     }
 
     #[test]
-    fn partial_envelope_v1_decodes_as_lone_replica() {
-        // hand-rolled v1 envelope (pre-replication backend): decodes
-        // with replica identity 0 of 1 so old fleets keep merging
+    fn partial_envelope_v1_is_rejected_with_bad_version() {
+        // hand-rolled v1 envelope (no replica fields): typed rejection,
+        // never misread as a v2 header
         let mut body = Vec::new();
         body.extend_from_slice(PARTIAL_MAGIC);
-        body.extend_from_slice(&PARTIAL_VERSION_V1.to_le_bytes());
+        body.extend_from_slice(&1u16.to_le_bytes()); // version 1
         body.extend_from_slice(&7u32.to_le_bytes()); // partition_id
         body.extend_from_slice(&42u64.to_le_bytes()); // epoch
         body.extend_from_slice(&1u16.to_le_bytes()); // contributed
         body.extend_from_slice(&8u16.to_le_bytes()); // total
         body.push(0); // flags
         body.extend_from_slice(b"tail");
-        let (h, tail) = decode_partial(&body).unwrap();
-        assert_eq!((h.partition_id, h.epoch), (7, 42));
-        assert_eq!((h.replica_id, h.replicas), (0, 1));
-        assert_eq!(tail, b"tail");
-        // a v2 header truncated inside the replica fields is typed, not
-        // misread as a v1 envelope
+        assert_eq!(decode_partial(&body).unwrap_err(), WireError::BadVersion(1));
+        for cut in 0..body.len() {
+            assert!(decode_partial(&body[..cut]).is_err(), "cut at {cut}");
+        }
+        // a v2 header truncated inside the replica fields is typed too
         let (_, v2) = sample_partial();
         assert_eq!(
             decode_partial(&v2[..PARTIAL_HEADER_LEN - 1]).unwrap_err(),

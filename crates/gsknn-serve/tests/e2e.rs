@@ -48,7 +48,6 @@ fn counter(stats: &Value, key: &str) -> u64 {
 #[test]
 fn mixed_precision_traffic_matches_oracle_exactly() {
     let (addr, handle) = start_server(ServerConfig {
-        workers_per_lane: 2,
         queue_cap: 256,
         coalesce_frac: 0.9,
         max_batch: 64,
@@ -145,7 +144,6 @@ fn mixed_precision_traffic_matches_oracle_exactly() {
 #[test]
 fn coalescer_flushes_on_both_triggers() {
     let cfg = ServerConfig {
-        workers_per_lane: 1,
         queue_cap: 512,
         coalesce_frac: 0.9,
         max_batch: 128,
@@ -204,7 +202,6 @@ fn coalescer_flushes_on_both_triggers() {
 #[test]
 fn saturated_queue_returns_busy() {
     let (addr, handle) = start_server(ServerConfig {
-        workers_per_lane: 1,
         queue_cap: 8,
         max_batch: 64,
         k_max: 8,
@@ -239,7 +236,6 @@ fn saturated_queue_returns_busy() {
 #[test]
 fn zero_budget_request_times_out() {
     let (addr, handle) = start_server(ServerConfig {
-        workers_per_lane: 1,
         k_max: 8,
         ..ServerConfig::default()
     });
@@ -302,7 +298,6 @@ fn retry_converges_against_a_saturated_queue() {
     // coalescer for deadline/2, keeping the admission budget full for a
     // known window.
     let (addr, handle) = start_server(ServerConfig {
-        workers_per_lane: 1,
         queue_cap: 8,
         coalesce_frac: 1.0,
         max_batch: 64,
@@ -412,7 +407,6 @@ fn retry_episode_respects_the_wall_clock_deadline() {
 #[test]
 fn overload_degrades_precision_and_recovers() {
     let (addr, handle) = start_server(ServerConfig {
-        workers_per_lane: 1,
         queue_cap: 8,
         coalesce_frac: 1.0, // park batches: sustained, deterministic pressure
         max_batch: 64,
@@ -651,7 +645,6 @@ fn sharded_server_matches_oracle_and_drains_cleanly() {
 #[test]
 fn shutdown_drains_pending_work() {
     let (addr, handle) = start_server(ServerConfig {
-        workers_per_lane: 1,
         queue_cap: 512,
         max_batch: 256,
         k_max: 8,
@@ -686,4 +679,69 @@ fn shutdown_drains_pending_work() {
         "drain flush expected: {:?}",
         report.flushes
     );
+}
+
+/// Frames a client writes back-to-back on one connection (what the split
+/// `send_request` / `recv_response` API invites) are all answered, in
+/// order. The shard pauses a connection's parser while its query is in
+/// flight; the frames behind it are already buffered when the reply goes
+/// out, so no readiness event ever announces them — the shard has to
+/// resume the parser itself.
+#[test]
+fn pipelined_query_frames_are_all_answered_in_order() {
+    use gsknn_serve::wire::{
+        decode_response, encode_request, read_frame_poll, write_frame, Precision, QueryBody,
+        Request, Status,
+    };
+    use std::io::Write;
+    use std::time::Instant;
+
+    let (addr, handle) = start_server(ServerConfig {
+        k_max: 8,
+        ..ServerConfig::default()
+    });
+    let refs = dataset::uniform(N, D, 1);
+    let pool = dataset::uniform(8, D, 55);
+    let k = 4;
+
+    for burst in [2usize, 8] {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut wire_bytes = Vec::new(); // all frames, sent in one write
+        for i in 0..burst {
+            let payload = encode_request(&Request::Query(QueryBody {
+                precision: Precision::F64,
+                k,
+                deadline_ms: 20,
+                trace_id: 1 + i as u64,
+                dim: D,
+                m: 1,
+                coords: pool.point(i).to_vec(),
+            }));
+            write_frame(&mut wire_bytes, &payload).unwrap();
+        }
+        stream.write_all(&wire_bytes).unwrap();
+
+        // each query may wait out its 10 ms coalescing hold; a stalled
+        // parser would instead leave the socket silent forever
+        let give_up = Instant::now() + Duration::from_secs(5);
+        for i in 0..burst {
+            let payload = read_frame_poll(&mut stream, &|| Instant::now() >= give_up)
+                .unwrap()
+                .unwrap_or_else(|| panic!("burst of {burst}: no reply to frame {i}"));
+            let resp = decode_response(&payload).unwrap();
+            assert_eq!(resp.status, Status::Ok, "burst of {burst}, frame {i}");
+            assert_eq!(resp.trace_id, 1 + i as u64, "replies out of order");
+            let table = knn_select::NeighborTable::<f64>::from_bytes(&resp.body).unwrap();
+            let got: Vec<u32> = table.row(0).iter().map(|nb| nb.idx).collect();
+            assert_eq!(got, brute_indices(&refs, pool.point(i), k));
+        }
+    }
+
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    let report = handle.join().unwrap();
+    assert_eq!(report.queries, 10);
 }

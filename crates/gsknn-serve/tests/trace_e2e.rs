@@ -46,7 +46,6 @@ fn metric_value(text: &str, name: &str) -> u64 {
 #[test]
 fn trace_ids_histograms_and_expositions_agree_end_to_end() {
     let (addr, handle) = start_server(ServerConfig {
-        workers_per_lane: 2,
         queue_cap: 256,
         max_batch: 64,
         k_max: 16,

@@ -14,10 +14,8 @@
 //! rows      m·k × (f64|f32 dist, u32 idx)
 //! ```
 //!
-//! Format v1 (the pre-precision layout: no precision byte, distances
-//! always `f64`) is still decoded by [`NeighborTable::from_bytes`] for
-//! any target precision — old persisted f64 tables keep working, and an
-//! f32 reader narrows the stored distances.
+//! Readers accept v2 only; any other version is
+//! [`DecodeError::BadVersion`].
 //!
 //! Sentinels round-trip exactly (dist = +∞, idx = `u32::MAX`).
 
@@ -146,8 +144,7 @@ impl<T: GsknnScalar> NeighborTable<T> {
     }
 
     /// Decode a buffer produced by [`NeighborTable::to_bytes`] — v2 at
-    /// either stored precision (distances are converted to `T`), or the
-    /// legacy v1 f64-only layout.
+    /// either stored precision (distances are converted to `T`).
     pub fn from_bytes(mut buf: &[u8]) -> Result<Self, DecodeError> {
         if buf.remaining() < 4 + 2 {
             return Err(DecodeError::Truncated);
@@ -158,21 +155,16 @@ impl<T: GsknnScalar> NeighborTable<T> {
             return Err(DecodeError::BadMagic);
         }
         let version = buf.get_u16_le();
-        let stored_bytes = match version {
-            // v1 predates the precision byte; distances are f64
-            1 => 8u8,
-            2 => {
-                if buf.remaining() < 1 {
-                    return Err(DecodeError::Truncated);
-                }
-                let b = buf.get_u8();
-                if b != 4 && b != 8 {
-                    return Err(DecodeError::BadPrecision(b));
-                }
-                b
-            }
-            v => return Err(DecodeError::BadVersion(v)),
-        };
+        if version != VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        if buf.remaining() < 1 {
+            return Err(DecodeError::Truncated);
+        }
+        let stored_bytes = buf.get_u8();
+        if stored_bytes != 4 && stored_bytes != 8 {
+            return Err(DecodeError::BadPrecision(stored_bytes));
+        }
         if buf.remaining() < 16 {
             return Err(DecodeError::Truncated);
         }
@@ -212,30 +204,20 @@ impl<T: GsknnScalar> NeighborTable<T> {
 /// Byte length of the encoded table at the head of `buf` without
 /// decoding it — header sniffing for protocols that append trailing
 /// data after the table (e.g. the serving layer's span annex). `None`
-/// if the head is not a structurally plausible v1/v2 table (bad magic,
-/// truncated header, overflowing `m × k`, or fewer bytes than the
-/// declared rows). All arithmetic is checked; arbitrary bytes never
+/// if the head is not a structurally plausible v2 table (bad magic or
+/// version, truncated header, overflowing `m × k`, or fewer bytes than
+/// the declared rows). All arithmetic is checked; arbitrary bytes never
 /// panic.
 pub fn encoded_len_of(buf: &[u8]) -> Option<usize> {
-    if buf.len() < 4 + 2 || &buf[..4] != MAGIC {
+    let header_len = 4 + 2 + 1 + 16;
+    if buf.len() < header_len
+        || &buf[..4] != MAGIC
+        || u16::from_le_bytes([buf[4], buf[5]]) != VERSION
+    {
         return None;
     }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    let (stored_bytes, header_len) = match version {
-        1 => (8usize, 4 + 2 + 16),
-        2 => {
-            if buf.len() < 7 {
-                return None;
-            }
-            let b = buf[6] as usize;
-            if b != 4 && b != 8 {
-                return None;
-            }
-            (b, 4 + 2 + 1 + 16)
-        }
-        _ => return None,
-    };
-    if buf.len() < header_len {
+    let stored_bytes = buf[6] as usize;
+    if stored_bytes != 4 && stored_bytes != 8 {
         return None;
     }
     let dims = &buf[header_len - 16..header_len];
@@ -274,23 +256,6 @@ mod tests {
         t
     }
 
-    /// The legacy v1 encoding (no precision byte, f64 rows), for reader
-    /// compatibility tests.
-    fn encode_v1(t: &NeighborTable) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(1);
-        buf.put_u64_le(t.len() as u64);
-        buf.put_u64_le(t.k() as u64);
-        for i in 0..t.len() {
-            for nb in t.row(i) {
-                buf.put_f64_le(nb.dist);
-                buf.put_u32_le(nb.idx);
-            }
-        }
-        buf
-    }
-
     #[test]
     fn round_trip_exact() {
         let t = sample();
@@ -327,18 +292,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_payload_still_decodes() {
-        let t = sample();
-        let v1 = encode_v1(&t);
-        let back = NeighborTable::<f64>::from_bytes(&v1).unwrap();
-        for i in 0..3 {
-            assert_eq!(back.row(i), t.row(i), "row {i}");
+    fn legacy_v1_payload_is_rejected_with_bad_version() {
+        // a well-formed v1 table: version 1, no precision byte, f64 rows
+        let mut v1 = sample().to_bytes().to_vec();
+        v1[4] = 1;
+        v1.remove(6);
+        assert_eq!(
+            NeighborTable::<f64>::from_bytes(&v1).unwrap_err(),
+            DecodeError::BadVersion(1)
+        );
+        assert_eq!(
+            NeighborTable::<f32>::from_bytes(&v1).unwrap_err(),
+            DecodeError::BadVersion(1)
+        );
+        assert_eq!(encoded_len_of(&v1), None);
+        // every prefix is a typed error as well, never a panic
+        for cut in 0..v1.len() {
+            assert!(NeighborTable::<f64>::from_bytes(&v1[..cut]).is_err());
+            assert_eq!(encoded_len_of(&v1[..cut]), None);
         }
-        // and narrows into an f32 reader (exact here: the sample
-        // distances are all dyadic)
-        let narrow = NeighborTable::<f32>::from_bytes(&v1).unwrap();
-        assert_eq!(narrow.row(0)[0].dist, 0.25f32);
-        assert_eq!(narrow.row(0)[0].idx, 7);
     }
 
     #[test]
@@ -444,12 +416,11 @@ mod tests {
 
     #[test]
     fn encoded_len_of_splits_table_from_trailing_bytes() {
-        for bytes in [sample().to_bytes().to_vec(), encode_v1(&sample())] {
-            assert_eq!(encoded_len_of(&bytes), Some(bytes.len()));
-            let mut with_tail = bytes.clone();
-            with_tail.extend_from_slice(b"span annex trails here");
-            assert_eq!(encoded_len_of(&with_tail), Some(bytes.len()));
-        }
+        let bytes = sample().to_bytes().to_vec();
+        assert_eq!(encoded_len_of(&bytes), Some(bytes.len()));
+        let mut with_tail = bytes.clone();
+        with_tail.extend_from_slice(b"span annex trails here");
+        assert_eq!(encoded_len_of(&with_tail), Some(bytes.len()));
         // f32 tables too
         let f32_bytes = sample_f32().to_bytes().to_vec();
         assert_eq!(encoded_len_of(&f32_bytes), Some(f32_bytes.len()));

@@ -17,7 +17,6 @@ fn main() {
     let server = Server::bind(
         ServerConfig {
             addr: "127.0.0.1:0".to_string(), // free port
-            workers_per_lane: 2,
             ..ServerConfig::default()
         },
         index,

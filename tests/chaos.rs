@@ -48,7 +48,6 @@ fn start_server() -> (SocketAddr, thread::JoinHandle<gsknn::serve::ServeReport>)
     let index = ServeIndex::build(refs, 1, N, 7);
     let server = Server::bind(
         ServerConfig {
-            workers_per_lane: 2,
             queue_cap: 256,
             max_batch: 32,
             k_max: 16,

@@ -150,7 +150,6 @@ fn served_answers_equal_serial_run_cross() {
 
     let server = Server::bind(
         ServerConfig {
-            workers_per_lane: 2,
             ..ServerConfig::default()
         },
         ServeIndex::build(refs, 1, n, 7),
