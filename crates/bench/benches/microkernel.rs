@@ -1,12 +1,16 @@
 //! Criterion: the fused micro-kernel (Figure 3's realization) — rank-dc
 //! update + distance epilogue per norm, against the plain GEMM
-//! micro-kernel, plus the Partial (Cc-spill) pass mode.
+//! micro-kernel, plus the Partial (Cc-spill) pass mode — and the
+//! macro-kernel one level up: a whole Var#1 call whose tiles are all
+//! interior, so tile time × tiles against it is the cost of everything
+//! around the tile (filter, selection, packing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dataset::{uniform, DistanceKind};
 use gemm_kernel::AlignedBuf;
 use gsknn_core::microkernel::{tile_pass, PassMode, MR, NR};
 use gsknn_core::packing::{pack_q_panel, pack_r_panel};
+use gsknn_core::{Gsknn, GsknnConfig};
 
 fn panels(d: usize) -> (AlignedBuf, AlignedBuf, Vec<f64>, Vec<f64>) {
     let x = uniform(MR + NR, d, 5);
@@ -49,6 +53,22 @@ fn bench_norms(c: &mut Criterion) {
                 );
                 std::hint::black_box(&out);
             });
+        });
+    }
+    group.finish();
+}
+
+fn bench_sweep(c: &mut Criterion) {
+    let (m, n, k) = (512, 4096, 16);
+    let mut group = c.benchmark_group("microkernel/sweep");
+    for d in [16, 64] {
+        let x = uniform(n, d, 5);
+        let q: Vec<usize> = (0..m).collect();
+        let r: Vec<usize> = (0..n).collect();
+        let mut exec = Gsknn::new(GsknnConfig::default());
+        group.throughput(Throughput::Elements((2 * d * m * n) as u64));
+        group.bench_function(BenchmarkId::new("sq-l2", d), |b| {
+            b.iter(|| std::hint::black_box(exec.run(&x, &q, &r, k, DistanceKind::SqL2)));
         });
     }
     group.finish();
@@ -137,6 +157,6 @@ fn bench_gemm_microkernel(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_norms, bench_partial_vs_last, bench_gemm_microkernel
+    targets = bench_norms, bench_sweep, bench_partial_vs_last, bench_gemm_microkernel
 }
 criterion_main!(benches);

@@ -86,6 +86,9 @@ pub struct GsknnWorkspace<T: GsknnScalar = f64> {
     pub cc: AlignedBuf<T>,
     /// Distance strip for buffered selection (Var#2/Var#3).
     pub dist: AlignedBuf<T>,
+    /// Pruning bound of each query row of the current `ic` block, read by
+    /// the macro-kernel's in-register filter (at most `mc` elements).
+    pub thr: Vec<T>,
     /// Counters for the most recent serial run.
     pub stats: KernelStats,
     /// Phase timings for the most recent run (zero-sized no-op unless

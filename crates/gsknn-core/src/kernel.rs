@@ -201,36 +201,7 @@ impl<T: FusedScalar> Gsknn<T> {
         kind: DistanceKind,
         table: &mut NeighborTable<T>,
     ) {
-        let k = table.k();
-        assert_eq!(table.len(), q_idx.len(), "one table row per query");
-        assert_eq!(xq.dim(), xr.dim(), "query/reference dimension mismatch");
-        validate_indices(xq, q_idx, &[]);
-        validate_indices(xr, &[], r_idx);
-        let variant = self.effective_variant(q_idx.len(), r_idx.len(), xq.dim(), k);
-        // §2.4: Var#1 pairs with the binary heap (small k), Var#6 with the
-        // padded 4-heap (large k).
-        let four = variant == Variant::Var6;
-        let mut heaps: Vec<SelHeap<T>> = (0..q_idx.len())
-            .map(|i| SelHeap::from_row(k, table.row(i), four))
-            .collect();
-        let args = DriverArgs {
-            xq,
-            xr,
-            q_idx,
-            r_idx,
-            kind,
-            params: self.cfg.params,
-            variant,
-        };
-        self.ws.stats = crate::buffers::KernelStats::default();
-        self.ws.phases.reset();
-        run_serial(&args, &mut heaps, &mut self.ws);
-        self.ws.phases.time(Phase::Writeback, || {
-            for (i, heap) in heaps.into_iter().enumerate() {
-                table.set_row(i, &heap.into_sorted_vec());
-            }
-        });
-        self.phase_accum.merge(&self.ws.phases);
+        self.update_cross_reusing(xq, q_idx, xr, r_idx, kind, table, &mut BatchScratch::new())
     }
 
     /// [`Gsknn::update_cross`] with the per-batch scratch (heaps and the
@@ -256,8 +227,11 @@ impl<T: FusedScalar> Gsknn<T> {
         validate_indices(xq, q_idx, &[]);
         validate_indices(xr, &[], r_idx);
         let variant = self.effective_variant(q_idx.len(), r_idx.len(), xq.dim(), k);
+        // §2.4: Var#1 pairs with the binary heap (small k), Var#6 with the
+        // padded 4-heap (large k).
         let four = variant == Variant::Var6;
         let m = q_idx.len();
+        scratch.heaps.reserve(m.saturating_sub(scratch.heaps.len()));
         for i in 0..m {
             match scratch.heaps.get_mut(i) {
                 Some(h) => h.reset_from_row(k, table.row(i), four),

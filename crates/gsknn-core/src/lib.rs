@@ -44,6 +44,8 @@ pub mod packing;
 pub mod parallel;
 pub mod params;
 pub mod scheduler;
+#[cfg(test)]
+mod sweep_tests;
 pub mod variants;
 
 pub use buffers::{GsknnWorkspace, KernelStats};

@@ -21,13 +21,32 @@
 //! `f32` an 8×8 tile (8 lanes) — same loop nest, twice the flops per
 //! instruction. Each implementor owns its SIMD dispatch and its
 //! vectorized row filter.
+//!
+//! # The macro-kernel
+//!
+//! Var#1's last pass does not go through [`tile_pass`] for the full tiles
+//! of a block: [`FusedScalar::fused_sweep`] runs the whole 3rd/2nd-loop
+//! sweep in one function, so the rank-dc loop, the epilogue and the root
+//! filter inline into the tile loop. A finished tile row is compared in
+//! its register against the broadcast pruning bound of its query
+//! ([`Sweep::thr`]), the `movemask` results are packed into one lane mask
+//! (bit `i·NR + j`), and only a tile with a set bit is stored and popped
+//! — in ascending (row, lane) order, the order [`tile_pass`] + the
+//! per-tile selection push in. One control flow ([`sweep_tiles`]) serves
+//! every ISA; the per-ISA part is the [`SweepTile`] step. A distance has
+//! the same bits whichever entry produced it: one accumulator per output
+//! element, `p` ascending, then the same epilogue instructions.
 
 mod avx2;
 mod avx2_f32;
 
+use crate::buffers::KernelStats;
+use crate::obs::{PhaseSet, SweepProbe};
+use crate::variants::SelHeap;
 use dataset::DistanceKind;
 pub use gemm_kernel::{MR, NR};
 use gsknn_scalar::{GsknnScalar, MAX_TILE};
+use knn_select::Neighbor;
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::row_filter_mask;
@@ -87,6 +106,233 @@ pub trait FusedScalar: GsknnScalar {
     /// Requires [`FusedScalar::row_filter_available`] and
     /// `row.len() >= Self::NR`.
     unsafe fn row_filter_mask(row: &[Self], threshold: Self) -> u32;
+
+    /// The macro-kernel (module docs): final pass, root filter and heap
+    /// pushes over every full tile of `sweep`. The provided body steps
+    /// through [`FusedScalar::fused_tile_pass`]; an implementor with a
+    /// SIMD sweep for `kind` overrides it and keeps this one for the rest.
+    fn fused_sweep(kind: DistanceKind, sweep: &mut Sweep<'_, Self>) {
+        sweep_fallback(kind, sweep)
+    }
+}
+
+/// The full `MR×NR` tiles of one `(jc, last pc, ic)` block and everything
+/// their selection updates. Built by the loop nest only.
+pub struct Sweep<'a, T: GsknnScalar> {
+    /// Depth of this (last) `d`-block.
+    pub(crate) dcb: usize,
+    /// Packed `Qc`, `m_tiles` micro-panels of `dcb·MR`.
+    pub(crate) q_pack: &'a [T],
+    /// Packed `Rc`, `n_tiles` micro-panels of `dcb·NR`.
+    pub(crate) r_pack: &'a [T],
+    /// Squared norms of the block's queries / references.
+    pub(crate) q2: &'a [T],
+    pub(crate) r2: &'a [T],
+    /// Full tiles along the query / reference side.
+    pub(crate) m_tiles: usize,
+    pub(crate) n_tiles: usize,
+    /// `Cc` of the earlier `d`-blocks, from this block's first element,
+    /// with its row stride (`None` when `d ≤ dc`).
+    pub(crate) prior: Option<(&'a [T], usize)>,
+    /// Global id of each reference column.
+    pub(crate) r_ids: &'a [usize],
+    /// One heap per query row.
+    pub(crate) heaps: &'a mut [SelHeap<T>],
+    /// `thr[i] == heaps[i].threshold()`, on entry and on return: the
+    /// filter reads its bounds here and never touches a heap for them.
+    pub(crate) thr: &'a mut [T],
+    pub(crate) stats: &'a mut KernelStats,
+    pub(crate) phases: &'a mut PhaseSet,
+    /// Strip sampling period of the phase probes.
+    pub(crate) sample_every: usize,
+}
+
+/// The per-ISA step of [`sweep_tiles`]: one full tile's final pass and
+/// root filter.
+pub(crate) trait SweepTile<T: GsknnScalar> {
+    /// Finalize the tile (as [`PassMode::Last`] does) and return its lane
+    /// mask: bit `i·NR + j` set iff `dist(i, j) <= thr[i]`. `out[b]` holds
+    /// the distance of every set bit `b`; a tile with an empty mask may
+    /// leave `out` untouched.
+    ///
+    /// # Safety
+    /// Readable: `ap` for `dcb·MR` elements, `bp` for `dcb·NR`, `q2` and
+    /// `thr` for `MR`, `r2` for `NR`, `prior` for `MR` rows of `NR` at its
+    /// stride; `out` writable for `MR·NR`. The CPU has the ISA the
+    /// implementor is written in.
+    #[allow(clippy::too_many_arguments)] // the tile's operands, as tile_pass
+    unsafe fn tile(
+        &self,
+        dcb: usize,
+        ap: *const T,
+        bp: *const T,
+        q2: *const T,
+        r2: *const T,
+        prior: Option<(*const T, usize)>,
+        thr: *const T,
+        out: *mut T,
+    ) -> u64;
+}
+
+/// The 3rd/2nd-loop sweep of the macro-kernel, written once; `#[inline(always)]`
+/// so that a `#[target_feature]` caller gets the tile step inlined into
+/// the loop.
+///
+/// # Safety
+/// The CPU has the ISA `K` is written in.
+#[inline(always)]
+pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
+    kernel: &K,
+    sw: &mut Sweep<'_, T>,
+) {
+    let (mr, nr) = (T::MR, T::NR);
+    let (dcb, m_tiles, n_tiles) = (sw.dcb, sw.m_tiles, sw.n_tiles);
+    if m_tiles == 0 || n_tiles == 0 {
+        return;
+    }
+    // Every raw access below stays inside these extents.
+    let (m_rows, n_cols) = (m_tiles * mr, n_tiles * nr);
+    assert!(sw.q_pack.len() >= m_rows * dcb && sw.r_pack.len() >= n_cols * dcb);
+    assert!(sw.q2.len() >= m_rows && sw.thr.len() >= m_rows && sw.heaps.len() >= m_rows);
+    assert!(sw.r2.len() >= n_cols && sw.r_ids.len() >= n_cols);
+    if let Some((cc, ldcc)) = sw.prior {
+        assert!(cc.len() >= (m_rows - 1) * ldcc + n_cols);
+    }
+
+    let filters = T::row_filter_available();
+    let mut out = [T::ZERO; MAX_TILE];
+    let (mut scanned, mut offered, mut kept) = (0u64, 0u64, 0u64);
+    let mut probe = SweepProbe::start(sw.sample_every);
+    // 3rd loop: reference micro-panels
+    for s in 0..n_tiles {
+        let col0 = s * nr;
+        // §2.4 rank-dc pipeline: the next Rc micro-panel streams toward L1
+        // while the ir sweep consumes this one.
+        #[cfg(target_arch = "x86_64")]
+        if s + 1 < n_tiles {
+            debug_assert!((col0 + nr) * dcb < sw.r_pack.len());
+            // SAFETY: a prefetch has no architectural effect; the address
+            // is inside r_pack (asserted ≥ n_cols·dcb above).
+            unsafe {
+                std::arch::x86_64::_mm_prefetch(
+                    sw.r_pack.as_ptr().add((col0 + nr) * dcb) as *const i8,
+                    std::arch::x86_64::_MM_HINT_T0,
+                )
+            };
+        }
+        let ids = &sw.r_ids[col0..col0 + nr];
+        let sampled = probe.begin_strip(s);
+        // 2nd loop: query micro-panels
+        for t in 0..m_tiles {
+            gsknn_faults::fail_point!(gsknn_faults::FaultPoint::MicroKernel);
+            let row0 = t * mr;
+            debug_assert!(row0 + mr <= m_rows && col0 + nr <= n_cols);
+            // SAFETY: tile (t, s) lies inside the extents asserted at the
+            // top — q_pack ≥ m_rows·dcb, r_pack ≥ n_cols·dcb, q2/thr ≥
+            // m_rows, r2 ≥ n_cols, prior ≥ (m_rows−1)·ldcc + n_cols — and
+            // `out` is MAX_TILE ≥ MR·NR; the ISA is the caller's contract.
+            let mut mask = unsafe {
+                kernel.tile(
+                    dcb,
+                    sw.q_pack.as_ptr().add(row0 * dcb),
+                    sw.r_pack.as_ptr().add(col0 * dcb),
+                    sw.q2.as_ptr().add(row0),
+                    sw.r2.as_ptr().add(col0),
+                    sw.prior
+                        .map(|(cc, ldcc)| (cc.as_ptr().add(row0 * ldcc + col0), ldcc)),
+                    sw.thr.as_ptr().add(row0),
+                    out.as_mut_ptr(),
+                )
+            };
+            if sampled {
+                probe.lap_rank();
+            }
+            if mask != 0 {
+                gsknn_faults::fail_point!(gsknn_faults::FaultPoint::HeapSelect);
+                let mut last_row = usize::MAX;
+                while mask != 0 {
+                    let bit = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let (i, j) = (bit / nr, bit % nr);
+                    scanned += u64::from(i != last_row);
+                    last_row = i;
+                    offered += 1;
+                    // The whole row was filtered against the bound from
+                    // before its first push, as the per-tile scan does;
+                    // `push` re-checks, so this stays exact.
+                    let heap = &mut sw.heaps[row0 + i];
+                    if heap.push(Neighbor::new(out[bit], ids[j] as u32)) {
+                        kept += 1;
+                        sw.thr[row0 + i] = heap.threshold();
+                    }
+                }
+            }
+            if sampled {
+                probe.lap_select();
+            }
+        }
+    }
+    let tiles = (m_tiles * n_tiles) as u64;
+    let rows = tiles * mr as u64;
+    // without the vectorized filter the per-tile path scans every row
+    let scanned = if filters { scanned } else { rows };
+    sw.stats.tiles += tiles;
+    sw.stats.rows_scanned += scanned;
+    sw.stats.rows_filtered += rows - scanned;
+    sw.stats.candidates_offered += offered;
+    sw.stats.candidates_kept += kept;
+    probe.finish(sw.phases, tiles);
+}
+
+/// [`SweepTile`] over [`FusedScalar::fused_tile_pass`] with a scalar
+/// compare: general `p`, and every norm where no SIMD sweep exists.
+struct FallbackTile(DistanceKind);
+
+impl<T: FusedScalar> SweepTile<T> for FallbackTile {
+    #[inline(always)]
+    unsafe fn tile(
+        &self,
+        dcb: usize,
+        ap: *const T,
+        bp: *const T,
+        q2: *const T,
+        r2: *const T,
+        prior: Option<(*const T, usize)>,
+        thr: *const T,
+        out: *mut T,
+    ) -> u64 {
+        use std::slice::{from_raw_parts, from_raw_parts_mut};
+        let (mr, nr) = (T::MR, T::NR);
+        debug_assert!(mr * nr <= 64, "lane mask is a u64");
+        // SAFETY: exactly the extents the trait's contract grants.
+        let (ap, bp, q2, r2, thr, out, prior) = unsafe {
+            (
+                from_raw_parts(ap, dcb * mr),
+                from_raw_parts(bp, dcb * nr),
+                from_raw_parts(q2, mr),
+                from_raw_parts(r2, nr),
+                from_raw_parts(thr, mr),
+                from_raw_parts_mut(out, mr * nr),
+                prior.map(|(cc, ldcc)| (from_raw_parts(cc, (mr - 1) * ldcc + nr), ldcc)),
+            )
+        };
+        let mode = PassMode::Last { prior, out };
+        T::fused_tile_pass(self.0, dcb, ap, bp, q2, r2, mode);
+        let mut mask = 0u64;
+        for i in 0..mr {
+            for j in 0..nr {
+                mask |= u64::from(out[i * nr + j] <= thr[i]) << (i * nr + j);
+            }
+        }
+        mask
+    }
+}
+
+/// The provided body of [`FusedScalar::fused_sweep`].
+pub(crate) fn sweep_fallback<T: FusedScalar>(kind: DistanceKind, sweep: &mut Sweep<'_, T>) {
+    // SAFETY: FallbackTile uses no ISA of its own (fused_tile_pass checks
+    // the CPU before it takes a SIMD path).
+    unsafe { sweep_tiles(&FallbackTile(kind), sweep) }
 }
 
 /// Run one micro-kernel pass.
@@ -152,6 +398,16 @@ impl FusedScalar for f64 {
             unreachable!("row filter is x86-only")
         }
     }
+
+    #[cfg(target_arch = "x86_64")]
+    fn fused_sweep(kind: DistanceKind, sweep: &mut Sweep<'_, f64>) {
+        if !matches!(kind, DistanceKind::Lp(_)) && avx2::available() {
+            // SAFETY: AVX2+FMA checked.
+            unsafe { avx2::sweep_avx2(kind, sweep) }
+        } else {
+            sweep_fallback(kind, sweep)
+        }
+    }
 }
 
 impl FusedScalar for f32 {
@@ -195,6 +451,16 @@ impl FusedScalar for f32 {
         {
             let _ = (row, threshold);
             unreachable!("row filter is x86-only")
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn fused_sweep(kind: DistanceKind, sweep: &mut Sweep<'_, f32>) {
+        if !matches!(kind, DistanceKind::Lp(_)) && avx2::available() {
+            // SAFETY: AVX2+FMA checked.
+            unsafe { avx2_f32::sweep_avx2_f32(kind, sweep) }
+        } else {
+            sweep_fallback(kind, sweep)
         }
     }
 }
@@ -566,6 +832,111 @@ mod tests {
         // f32: SIMD FMA keeps the product unrounded, the scalar path
         // rounds twice — a few f32 ulps of drift is expected
         avx2_agrees_with_scalar_for::<f32>(avx2_f32::tile_pass_avx2_f32, 5e-6);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    use crate::sweep_tests::{row_bits, RowBits};
+
+    /// Rows and counters of one sweep over a 3×5-tile block at depth 37,
+    /// heaps seeded from the first columns.
+    #[cfg(target_arch = "x86_64")]
+    fn sweep_outcome<T: FusedScalar>(
+        run: impl Fn(DistanceKind, &mut Sweep<'_, T>),
+        kind: DistanceKind,
+        with_prior: bool,
+    ) -> (RowBits, KernelStats) {
+        let (mr, nr) = (T::MR, T::NR);
+        let (m, n, d, k) = (3 * mr, 5 * nr, 37, 3);
+        let x: PointSet<T> = uniform(m + n, d, 21).cast();
+        let q_idx: Vec<usize> = (0..m).collect();
+        let r_idx: Vec<usize> = (m..m + n).collect();
+        let mut ap = vec![T::ZERO; m * d];
+        let mut bp = vec![T::ZERO; n * d];
+        crate::packing::pack_q_panel(&x, &q_idx, 0, m, 0, d, &mut ap);
+        crate::packing::pack_r_panel(&x, &r_idx, 0, n, 0, d, &mut bp);
+        let q2: Vec<T> = q_idx.iter().map(|&i| x.sqnorm(i)).collect();
+        let r2: Vec<T> = r_idx.iter().map(|&j| x.sqnorm(j)).collect();
+        let ldcc = n + 3;
+        let cc: Vec<T> = uniform(1, m * ldcc, 5).cast::<T>().point(0).to_vec();
+        // seeded, id-unique heaps: the sweep re-offers their own columns
+        let mut heaps: Vec<SelHeap<T>> = q_idx
+            .iter()
+            .map(|&qi| {
+                let row: Vec<Neighbor<T>> = r_idx[..k]
+                    .iter()
+                    .map(|&rj| Neighbor::new(kind.eval(x.point(qi), x.point(rj)), rj as u32))
+                    .collect();
+                SelHeap::from_row(k, &row, false)
+            })
+            .collect();
+        let mut thr: Vec<T> = heaps.iter().map(SelHeap::threshold).collect();
+        let mut stats = KernelStats::default();
+        let mut phases = PhaseSet::new();
+        run(
+            kind,
+            &mut Sweep {
+                dcb: d,
+                q_pack: &ap,
+                r_pack: &bp,
+                q2: &q2,
+                r2: &r2,
+                m_tiles: 3,
+                n_tiles: 5,
+                prior: with_prior.then_some((&cc[..], ldcc)),
+                r_ids: &r_idx,
+                heaps: &mut heaps,
+                thr: &mut thr,
+                stats: &mut stats,
+                phases: &mut phases,
+                sample_every: crate::obs::STRIP_SAMPLE,
+            },
+        );
+        for (t, h) in thr.iter().zip(&heaps) {
+            assert_eq!(t.to_f64().to_bits(), h.threshold().to_f64().to_bits());
+        }
+        (row_bits(heaps), stats)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_sweep_agrees_with_provided_for<T: FusedScalar>(
+        simd: unsafe fn(DistanceKind, &mut Sweep<'_, T>),
+    ) {
+        for kind in [
+            DistanceKind::SqL2,
+            DistanceKind::L1,
+            DistanceKind::LInf,
+            DistanceKind::Cosine,
+        ] {
+            for with_prior in [false, true] {
+                let provided = sweep_outcome::<T>(sweep_fallback, kind, with_prior);
+                // SAFETY: the caller checked AVX2+FMA.
+                let got = sweep_outcome::<T>(|k, sw| unsafe { simd(k, sw) }, kind, with_prior);
+                assert_eq!(
+                    got,
+                    provided,
+                    "{} {} prior={with_prior}",
+                    T::NAME,
+                    kind.name()
+                );
+                assert_eq!(got.1.tiles, 15);
+                assert_eq!(got.1.rows_filtered + got.1.rows_scanned, 15 * T::MR as u64);
+                assert!(got.1.rows_filtered > 0 && got.1.candidates_kept > 0);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_sweeps_agree_with_provided_sweep() {
+        // No CI host takes the provided sweep for a vectorizable norm, so
+        // call it directly: same rows, same bits, same counters as the
+        // AVX2 macro-kernel (it steps through the AVX2 *tile*, so this
+        // also pins sweep ≡ tile_pass bit for bit).
+        if !avx2::available() {
+            return;
+        }
+        avx2_sweep_agrees_with_provided_for::<f64>(avx2::sweep_avx2);
+        avx2_sweep_agrees_with_provided_for::<f32>(avx2_f32::sweep_avx2_f32);
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! in `tests/obs_guard.rs` checks both properties). With `obs` on,
 //! spans read the TSC on x86_64 (calibrated against `Instant` once) and
 //! fall back to a monotonic-clock anchor elsewhere.
+//!
+//! A clock read costs about an eighth of a d = 64 tile, so nothing brackets
+//! single tiles of the interior sweep: [`SweepProbe`] times the sweep once
+//! as a whole and splits it between [`Phase::RankDc`] and
+//! [`Phase::Select`] from a 1-in-[`STRIP_SAMPLE`] sample of strips timed
+//! tile by tile. The fringe, the partial passes and the buffered variants
+//! keep one span per tile.
 
 /// One phase of the fused kernel, in pipeline order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,6 +116,15 @@ impl PhaseSet {
         f()
     }
 
+    /// Attribute `ticks` clock ticks and `spans` spans to `phase` — for a
+    /// caller that read the clock itself ([`SweepProbe`]).
+    #[cfg(feature = "obs")]
+    #[inline(always)]
+    fn add_ticks(&mut self, phase: Phase, ticks: u64, spans: u64) {
+        self.ticks[phase.index()] += ticks;
+        self.counts[phase.index()] += spans;
+    }
+
     /// Fold another set into this one (per-worker merge).
     #[inline]
     pub fn merge(&mut self, other: &PhaseSet) {
@@ -160,15 +176,126 @@ impl PhaseSet {
     }
 }
 
+/// One in this many `jr` strips of an interior sweep is timed tile by
+/// tile; the other strips run without a clock read.
+pub(crate) const STRIP_SAMPLE: usize = 16;
+
+/// Phase attribution for one interior sweep (see the module docs). Every
+/// method is an empty `#[inline(always)]` body without the `obs` feature.
+pub(crate) struct SweepProbe {
+    #[cfg(feature = "obs")]
+    start: u64,
+    /// End of the previous lap inside a sampled strip.
+    #[cfg(feature = "obs")]
+    mark: u64,
+    #[cfg(feature = "obs")]
+    rank: u64,
+    #[cfg(feature = "obs")]
+    select: u64,
+    #[cfg(feature = "obs")]
+    every: usize,
+}
+
+impl SweepProbe {
+    /// Start the whole-sweep span; every `every`-th strip will be sampled.
+    #[inline(always)]
+    pub fn start(every: usize) -> Self {
+        #[cfg(feature = "obs")]
+        {
+            let start = clock::now_ticks();
+            SweepProbe {
+                start,
+                mark: start,
+                rank: 0,
+                select: 0,
+                every,
+            }
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = every;
+            SweepProbe {}
+        }
+    }
+
+    /// Whether strip number `strip` is timed tile by tile; opens its first
+    /// lap if so. Constant `false` without `obs`.
+    #[inline(always)]
+    pub fn begin_strip(&mut self, strip: usize) -> bool {
+        #[cfg(feature = "obs")]
+        {
+            let sampled = strip.is_multiple_of(self.every);
+            if sampled {
+                self.mark = clock::now_ticks();
+            }
+            sampled
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = strip;
+            false
+        }
+    }
+
+    /// Close a lap that held a tile's rank-dc update, epilogue and filter.
+    #[inline(always)]
+    pub fn lap_rank(&mut self) {
+        #[cfg(feature = "obs")]
+        {
+            let now = clock::now_ticks();
+            self.rank += now.wrapping_sub(self.mark);
+            self.mark = now;
+        }
+    }
+
+    /// Close a lap that held a tile's heap pushes.
+    #[inline(always)]
+    pub fn lap_select(&mut self) {
+        #[cfg(feature = "obs")]
+        {
+            let now = clock::now_ticks();
+            self.select += now.wrapping_sub(self.mark);
+            self.mark = now;
+        }
+    }
+
+    /// End the whole-sweep span and book it: the sampled laps give the
+    /// split, each phase gets one span per tile.
+    #[inline(always)]
+    pub fn finish(self, phases: &mut PhaseSet, tiles: u64) {
+        #[cfg(feature = "obs")]
+        {
+            let total = clock::now_ticks().wrapping_sub(self.start);
+            let sampled = self.rank + self.select;
+            let select = if sampled == 0 {
+                0
+            } else {
+                (total as u128 * self.select as u128 / sampled as u128) as u64
+            };
+            phases.add_ticks(Phase::RankDc, total - select, tiles);
+            phases.add_ticks(Phase::Select, select, tiles);
+        }
+        let _ = (phases, tiles);
+    }
+}
+
 #[cfg(feature = "obs")]
 mod clock {
     use std::sync::OnceLock;
     use std::time::Instant;
 
+    #[cfg(test)]
+    thread_local! {
+        /// Clock reads made by this thread (the probe-budget tests).
+        pub static READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
     /// Monotonic tick counter: TSC on x86_64, nanoseconds since an
     /// anchor elsewhere.
     #[inline(always)]
     pub fn now_ticks() -> u64 {
+        #[cfg(test)]
+        READS.with(|c| c.set(c.get() + 1));
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY: RDTSC has no memory effects and is available on
@@ -208,6 +335,12 @@ mod clock {
             1e9
         }
     }
+}
+
+/// Clock reads this thread has made so far.
+#[cfg(all(test, feature = "obs"))]
+pub(crate) fn clock_reads() -> u64 {
+    clock::READS.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]

@@ -10,10 +10,11 @@
 //! leaves stragglers, so `mc` is re-derived per problem
 //! ([`dynamic_mc`]) — the paper's "dynamically deciding mc".
 //!
-//! Allocation discipline: the per-worker `Qc`/`Qc2` scratch buffers are
-//! created once per worker via `map_init` and reused across every chunk
-//! that worker processes — the 4th-loop closure itself never allocates
-//! (the buffers only `resize`, which is a no-op after the first chunk).
+//! Allocation discipline: the per-worker `Qc`/`Qc2`/pruning-bound scratch
+//! buffers are created once per worker via `map_init` and reused across
+//! every chunk that worker processes — the 4th-loop closure itself never
+//! allocates (the buffers only `resize`, which is a no-op after the first
+//! chunk).
 
 use crate::buffers::KernelStats;
 use crate::microkernel::{FusedScalar, MR};
@@ -21,7 +22,8 @@ use crate::obs::{Phase, PhaseSet};
 use crate::packing::{pack_r_panel, pack_sqnorms};
 use crate::params::Variant;
 use crate::variants::{
-    cc_geometry, feed_degenerate, ic_block_body, select_block, DriverArgs, RefBlock, SelHeap,
+    cc_geometry, feed_degenerate, ic_block_body, interior, select_block, DriverArgs, RefBlock,
+    SelHeap,
 };
 use gemm_kernel::{AlignedBuf, GemmParams};
 use rayon::prelude::*;
@@ -82,6 +84,8 @@ pub fn run_data_parallel<T: FusedScalar>(
     }
     let mut r_pack = AlignedBuf::new();
     let mut r2_pack = AlignedBuf::new();
+    // read here, not by the workers: a test's override is per thread
+    let interior = interior();
 
     for jc in (0..n).step_by(nc) {
         let ncb = (n - jc).min(nc);
@@ -93,6 +97,7 @@ pub fn run_data_parallel<T: FusedScalar>(
             let last = pc + dcb >= d;
 
             let nblocks = ncb.div_ceil(nr);
+            gsknn_faults::fail_point!(gsknn_faults::FaultPoint::PackR);
             total_phases.time(Phase::PackR, || {
                 r_pack.resize(nblocks * nr * dcb);
                 pack_r_panel(args.xr, args.r_idx, jc, ncb, pc, dcb, r_pack.as_mut_slice());
@@ -126,8 +131,8 @@ pub fn run_data_parallel<T: FusedScalar>(
                     .zip(heap_chunks)
                     .enumerate()
                     .map_init(
-                        || (AlignedBuf::new(), AlignedBuf::new()),
-                        |(q_pack, q2_pack), (ci, (cc_rows, heap_chunk))| {
+                        || (AlignedBuf::new(), AlignedBuf::new(), Vec::new()),
+                        |(q_pack, q2_pack, thr), (ci, (cc_rows, heap_chunk))| {
                             let ic = ci * mc;
                             let mcb = (m - ic).min(mc);
                             let mut stats = KernelStats::default();
@@ -138,8 +143,10 @@ pub fn run_data_parallel<T: FusedScalar>(
                                 mcb,
                                 &rb,
                                 geo.ldcc,
+                                interior,
                                 q_pack,
                                 q2_pack,
+                                thr,
                                 Some(cc_rows),
                                 heap_chunk,
                                 &mut stats,
@@ -153,8 +160,8 @@ pub fn run_data_parallel<T: FusedScalar>(
                 heap_chunks
                     .enumerate()
                     .map_init(
-                        || (AlignedBuf::new(), AlignedBuf::new()),
-                        |(q_pack, q2_pack), (ci, heap_chunk)| {
+                        || (AlignedBuf::new(), AlignedBuf::new(), Vec::new()),
+                        |(q_pack, q2_pack, thr), (ci, heap_chunk)| {
                             let ic = ci * mc;
                             let mcb = (m - ic).min(mc);
                             let mut stats = KernelStats::default();
@@ -165,8 +172,10 @@ pub fn run_data_parallel<T: FusedScalar>(
                                 mcb,
                                 &rb,
                                 geo.ldcc,
+                                interior,
                                 q_pack,
                                 q2_pack,
+                                thr,
                                 None,
                                 heap_chunk,
                                 &mut stats,

@@ -27,8 +27,8 @@
 //! shared between f64 and f32.
 
 use crate::buffers::{GsknnWorkspace, KernelStats};
-use crate::microkernel::{tile_pass, FusedScalar, PassMode};
-use crate::obs::{Phase, PhaseSet};
+use crate::microkernel::{tile_pass, FusedScalar, PassMode, Sweep};
+use crate::obs::{Phase, PhaseSet, STRIP_SAMPLE};
 use crate::packing::{pack_q_panel, pack_r_panel, pack_sqnorms};
 use crate::params::Variant;
 use dataset::{DistanceKind, PointSet};
@@ -238,10 +238,43 @@ pub(crate) struct RefBlock<'a, T: GsknnScalar = f64> {
     pub pc: usize,
 }
 
+/// How [`ic_block_body`] treats the full tiles of Var#1's last pass.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Interior {
+    /// The macro-kernel, its probes sampling every n-th strip.
+    Sweep(usize),
+    /// The per-tile path the fringe takes — the reference the sweep is
+    /// tested against.
+    #[cfg(test)]
+    PerTile,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// What the drivers on this thread pass to [`ic_block_body`].
+    pub(crate) static TEST_INTERIOR: std::cell::Cell<Interior> =
+        const { std::cell::Cell::new(Interior::Sweep(STRIP_SAMPLE)) };
+}
+
+/// The [`Interior`] every driver uses (tests may override it per thread).
+pub(crate) fn interior() -> Interior {
+    #[cfg(test)]
+    {
+        TEST_INTERIOR.with(std::cell::Cell::get)
+    }
+    #[cfg(not(test))]
+    {
+        Interior::Sweep(STRIP_SAMPLE)
+    }
+}
+
 /// The 4th-loop body for one query chunk: pack `Qc`(+`Qc2`), sweep the
-/// 3rd/2nd loops, run the fused micro-kernel per tile, and perform
-/// Var#1/2/3 selection. All row indexing is local to the chunk: `heaps`
-/// and `cc_rows` start at query `ic_global`.
+/// 3rd/2nd loops and perform Var#1/2/3 selection. The full tiles of
+/// Var#1's last pass go through the macro-kernel
+/// ([`FusedScalar::fused_sweep`]); every other tile — the fringe rows and
+/// columns, the partial passes, the buffered variants — runs the fused
+/// micro-kernel tile by tile. All row indexing is local to the chunk:
+/// `heaps` and `cc_rows` start at query `ic_global`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ic_block_body<T: FusedScalar>(
     args: &DriverArgs<'_, T>,
@@ -249,8 +282,10 @@ pub(crate) fn ic_block_body<T: FusedScalar>(
     mcb: usize,
     rb: &RefBlock<'_, T>,
     ldcc: usize,
+    interior: Interior,
     q_pack: &mut AlignedBuf<T>,
     q2_pack: &mut AlignedBuf<T>,
+    thr: &mut Vec<T>,
     mut cc_rows: Option<&mut [T]>,
     heaps: &mut [SelHeap<T>],
     stats: &mut KernelStats,
@@ -290,8 +325,49 @@ pub(crate) fn ic_block_body<T: FusedScalar>(
         }
     });
 
+    // Var#1's last pass: the full tiles in one sweep. A heap still sees
+    // its candidates in ascending column order — the fringe column strip
+    // comes after — and the fringe rows belong to other heaps.
+    let (mut m_full, mut n_full) = (0, 0);
+    let sweeps = variant == Variant::Var1 && rb.last && mcb >= mr && rb.ncb >= nr;
+    if let (true, Interior::Sweep(sample_every)) = (sweeps, interior) {
+        (m_full, n_full) = (mcb / mr * mr, rb.ncb / nr * nr);
+        thr.clear();
+        thr.extend(heaps[..m_full].iter().map(SelHeap::threshold));
+        let prior = if multipass && !rb.first {
+            let cc = cc_rows.as_deref().expect("multipass requires Cc");
+            Some((&cc[rb.col0..], ldcc))
+        } else {
+            None
+        };
+        T::fused_sweep(
+            args.kind,
+            &mut Sweep {
+                dcb,
+                q_pack: q_pack.as_slice(),
+                r_pack: rb.r_pack,
+                q2: q2_pack.as_slice(),
+                r2: rb.r2_pack,
+                m_tiles: m_full / mr,
+                n_tiles: n_full / nr,
+                prior,
+                r_ids: &args.r_idx[rb.jc..rb.jc + n_full],
+                heaps: &mut *heaps,
+                thr,
+                stats: &mut *stats,
+                phases: &mut *phases,
+                sample_every,
+            },
+        );
+    }
+
     // 3rd loop: reference micro-panels
     for jr in (0..rb.ncb).step_by(nr) {
+        // rows of this strip the sweep has already taken
+        let ir0 = if jr < n_full { m_full } else { 0 };
+        if ir0 >= mcb {
+            continue;
+        }
         let nre = (rb.ncb - jr).min(nr);
         let bp = &rb.r_pack[(jr / nr) * nr * dcb..];
         // §2.4 rank-dc pipeline: prefetch the *next* Rc micro-panel so it
@@ -313,7 +389,7 @@ pub(crate) fn ic_block_body<T: FusedScalar>(
             }
         }
         // 2nd loop: query micro-panels
-        for ir in (0..mcb).step_by(mr) {
+        for ir in (ir0..mcb).step_by(mr) {
             gsknn_faults::fail_point!(gsknn_faults::FaultPoint::MicroKernel);
             let mre = (mcb - ir).min(mr);
             let ap = &q_pack.as_slice()[(ir / mr) * mr * dcb..];
@@ -454,10 +530,12 @@ pub fn run_serial<T: FusedScalar>(
         q2_pack,
         r2_pack,
         cc,
+        thr,
         stats,
         phases,
         ..
     } = ws;
+    let interior = interior();
     if geo.need_cc {
         cc.resize(geo.pad_m * geo.ldcc);
     }
@@ -510,8 +588,10 @@ pub fn run_serial<T: FusedScalar>(
                     mcb,
                     &rb,
                     geo.ldcc,
+                    interior,
                     q_pack,
                     q2_pack,
+                    thr,
                     cc_rows,
                     &mut heaps[ic..ic + mcb],
                     stats,

@@ -1,21 +1,22 @@
 //! Overhead guard for the observability layer: the instrumented hot path
-//! must cost nothing when the `obs` feature is off, and near-nothing per
-//! span when it is on.
+//! must cost nothing when the `obs` feature is off.
 //!
 //! A compile-time feature cannot be A/B-tested inside one binary, so the
-//! guard is two-pronged:
+//! guard is structural: without `obs`, `PhaseSet` is a ZST and records
+//! nothing, so the probe argument passed through the whole nest adds no
+//! state and `PhaseSet::time` reduces to a direct call.
 //!
-//! 1. structural — without `obs`, `PhaseSet` is a ZST and records
-//!    nothing, so the probe argument passed through the whole nest adds
-//!    no state and `PhaseSet::time` reduces to a direct call;
-//! 2. behavioral — timing `PhaseSet::time(p, work)` against bare `work`
-//!    shows the wrapper within noise of the raw call (generous 2x median
-//!    bound: disabled it is literally the same code after inlining, and
-//!    enabled the ~2 TSC reads are two orders of magnitude below the
-//!    workload).
+//! With `obs` on the probes are *not* free — a clock read is about an
+//! eighth of a d = 64 tile, and a span per tile and phase made four — so
+//! their cost is bounded by counting, not by timing: the unit tests in
+//! `src/sweep_tests.rs` (`probes`, built with `--features obs`) hold an
+//! interior sweep to its clock-read budget and its sampled phase split to
+//! an every-tile measurement of the same call.
 
-use gsknn_core::{DistanceKind, Gsknn, GsknnConfig, Phase, PhaseSet};
-use std::hint::black_box;
+#[cfg(not(feature = "obs"))]
+use gsknn_core::PhaseSet;
+use gsknn_core::{DistanceKind, Gsknn, GsknnConfig, Phase};
+#[cfg(feature = "obs")]
 use std::time::Instant;
 
 #[cfg(not(feature = "obs"))]
@@ -68,49 +69,5 @@ fn kernel_records_phases_with_obs() {
         "phase total {} vs wall {}",
         ph.total_seconds(),
         wall
-    );
-}
-
-fn median_of(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
-/// The µs-scale workload a probe wraps in the real nest (a tile pass is
-/// ~thousands of flops).
-fn workload() -> u64 {
-    let mut acc = 0u64;
-    for i in 0..20_000u64 {
-        acc = acc.wrapping_add(black_box(i).wrapping_mul(2654435761));
-    }
-    acc
-}
-
-#[test]
-fn probe_wrapper_is_within_noise_of_raw_call() {
-    let mut ps = PhaseSet::new();
-    // warm up (first obs-enabled span pays one-time TSC calibration)
-    for _ in 0..5 {
-        black_box(workload());
-        ps.time(Phase::RankDc, || black_box(workload()));
-    }
-    let reps = 31;
-    let mut raw = Vec::with_capacity(reps);
-    let mut wrapped = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(workload());
-        raw.push(t0.elapsed().as_secs_f64());
-        let t1 = Instant::now();
-        black_box(ps.time(Phase::RankDc, || black_box(workload())));
-        wrapped.push(t1.elapsed().as_secs_f64());
-    }
-    let (raw_med, wrapped_med) = (median_of(raw), median_of(wrapped));
-    // Generous bound: scheduler noise dwarfs any real difference. With
-    // obs off the two paths are identical code; with obs on the probe
-    // adds ~2 TSC reads (~50 ns) to a ~50 µs workload.
-    assert!(
-        wrapped_med <= raw_med * 2.0 + 5e-6,
-        "instrumented path {wrapped_med}s vs raw {raw_med}s"
     );
 }

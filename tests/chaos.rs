@@ -92,6 +92,34 @@ fn direct_kernel_fault_has_recognizable_panic() {
     gsknn_faults::clear();
     let t = Gsknn::new(GsknnConfig::default()).run(&x, &queries, &refs, 4, DistanceKind::SqL2);
     assert_eq!(t.len(), 4, "fresh executor after a fault must work");
+
+    // Every kernel point fires from both drivers, also when the batch is
+    // all full tiles (m = 64: the interior sweep, no per-tile fringe).
+    let batch: Vec<usize> = (0..64).collect();
+    for point in [
+        FaultPoint::PackR,
+        FaultPoint::PackQ,
+        FaultPoint::MicroKernel,
+        FaultPoint::HeapSelect,
+    ] {
+        for parallel in [false, true] {
+            gsknn_faults::configure(FaultPlan::new(11).with(point, Mode::Nth(1)));
+            let got = std::panic::catch_unwind(|| {
+                let mut exec = Gsknn::new(GsknnConfig::default());
+                if parallel {
+                    exec.run_parallel(&x, &batch, &refs, 4, DistanceKind::SqL2, 2)
+                } else {
+                    exec.run(&x, &batch, &refs, 4, DistanceKind::SqL2)
+                }
+            });
+            assert!(
+                got.is_err() && gsknn_faults::fired(point) == 1,
+                "{} must fire (parallel={parallel})",
+                point.name()
+            );
+            gsknn_faults::clear();
+        }
+    }
 }
 
 #[test]
