@@ -1,6 +1,10 @@
-//! `--key value` flag parsing with typed accessors and defaults.
+//! `--key value` flag parsing with typed accessors and defaults. The map
+//! remembers which keys were asked for, so a flag no accessor ever read —
+//! a typo, or another subcommand's flag — is an error
+//! ([`ArgMap::reject_unread`]) instead of a silently ignored option.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// CLI failure: a message and the exit code to use.
 #[derive(Debug, PartialEq, Eq)]
@@ -18,6 +22,8 @@ impl std::error::Error for CliError {}
 #[derive(Debug, Default)]
 pub struct ArgMap {
     vals: HashMap<String, String>,
+    /// Every key an accessor has looked up, given or not.
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl ArgMap {
@@ -35,44 +41,67 @@ impl ArgMap {
                 .ok_or_else(|| CliError(format!("--{key} needs a value")))?;
             vals.insert(key.to_string(), val);
         }
-        Ok(ArgMap { vals })
+        Ok(ArgMap {
+            vals,
+            asked: RefCell::default(),
+        })
+    }
+
+    /// The raw value of `key`, recording that it was asked for.
+    fn raw(&self, key: &str) -> Option<&String> {
+        self.asked.borrow_mut().insert(key.to_string());
+        self.vals.get(key)
     }
 
     /// String value or default.
     pub fn str_or(&self, key: &str, default: &str) -> String {
-        self.vals
-            .get(key)
+        self.raw(key)
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
 
     /// Required string value.
     pub fn str_req(&self, key: &str) -> Result<String, CliError> {
-        self.vals
-            .get(key)
+        self.raw(key)
             .cloned()
             .ok_or_else(|| CliError(format!("missing required --{key}")))
     }
 
     /// Typed value or default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.vals.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError(format!("--{key}: cannot parse '{v}'"))),
-        }
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 
     /// Typed optional value: `None` when the flag is absent.
     pub fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
-        match self.vals.get(key) {
+        match self.raw(key) {
             None => Ok(None),
             Some(v) => v
                 .parse()
                 .map(Some)
                 .map_err(|_| CliError(format!("--{key}: cannot parse '{v}'"))),
         }
+    }
+
+    /// Fail if a flag was given that `cmd` never asked for, naming the
+    /// flags it did ask for. The dispatcher calls this when a command
+    /// returns; a command that blocks or works for long calls it itself,
+    /// once it has read its flags.
+    pub fn reject_unread(&self, cmd: &str) -> Result<(), CliError> {
+        let asked = self.asked.borrow();
+        let mut unread: Vec<&String> = self.vals.keys().filter(|k| !asked.contains(*k)).collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort();
+        fn flags<'a>(keys: impl Iterator<Item = &'a String>) -> String {
+            keys.map(|k| format!("--{k}")).collect::<Vec<_>>().join(" ")
+        }
+        Err(CliError(format!(
+            "'{cmd}' does not read {} (it reads: {})",
+            flags(unread.into_iter()),
+            flags(asked.iter())
+        )))
     }
 }
 
@@ -132,6 +161,23 @@ mod tests {
         let a = ArgMap::parse(toks("--out x.csv")).unwrap();
         assert_eq!(a.str_req("out").unwrap(), "x.csv");
         assert!(a.str_req("in").is_err());
+    }
+
+    #[test]
+    fn a_flag_nobody_read_is_rejected_by_name() {
+        let a = ArgMap::parse(toks("--m 8 --out x --outdr y")).unwrap();
+        assert_eq!(a.get_or("m", 0usize).unwrap(), 8);
+        assert_eq!(a.str_or("outdir", "bench_out"), "bench_out");
+        let e = a.reject_unread("profile").unwrap_err();
+        assert_eq!(
+            e.0,
+            "'profile' does not read --out --outdr (it reads: --m --outdir)"
+        );
+        // reading them — even into an unused default — clears the error
+        assert!(a.opt::<String>("out").unwrap().is_some());
+        let _ = a.str_or("outdr", "");
+        assert!(a.reject_unread("profile").is_ok());
+        assert!(ArgMap::parse(toks("")).unwrap().reject_unread("x").is_ok());
     }
 
     #[test]

@@ -356,6 +356,7 @@ fn profile_run_cmd<T: FusedScalar>(args: &ArgMap) -> Result<String, CliError> {
     let workers: usize = args.get_or("p", 4)?;
     let ntasks: usize = args.get_or("tasks", 2 * workers.max(1))?;
     let outdir = PathBuf::from(args.str_or("outdir", "bench_out"));
+    args.reject_unread("profile")?; // before seconds of kernel runs
 
     let machine = MachineParams::ivy_bridge_1core();
     let report = profile_synthetic::<T>(m, n, d, k, seed, kind, machine, reps);
@@ -554,6 +555,7 @@ pub fn cmd_serve(args: &ArgMap) -> Result<String, CliError> {
         trace_ring: args.get_or("trace-ring", 32)?,
         partition,
     };
+    args.reject_unread("serve")?; // before the command blocks
     let (n, d) = (x.len(), x.dim());
     let index = ServeIndex::build(x, trees, leaf, forest_seed);
     let server = Server::bind(cfg, index).map_err(|e| CliError(format!("bind: {e}")))?;
@@ -640,6 +642,7 @@ pub fn cmd_route(args: &ArgMap) -> Result<String, CliError> {
     } else {
         String::new()
     };
+    args.reject_unread("route")?; // before the command blocks
     let router = Router::bind(cfg).map_err(|e| CliError(format!("bind: {e}")))?;
     let addr = router.local_addr().map_err(|e| CliError(e.to_string()))?;
     // readiness banner on stderr — stdout stays reserved for the final
@@ -1036,6 +1039,7 @@ pub fn cmd_top(args: &ArgMap) -> Result<String, CliError> {
     let rows: usize = args.get_or("rows", 20)?;
     let ts_out = args.opt::<String>("timeseries-out")?;
     let iters: u64 = args.get_or("iters", if ts_out.is_some() { 1 } else { 0 })?;
+    args.reject_unread("top")?; // before a loop that may never end
 
     let mut frame;
     let mut raw;

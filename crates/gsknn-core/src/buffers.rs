@@ -6,6 +6,7 @@
 use crate::obs::PhaseSet;
 use gemm_kernel::AlignedBuf;
 use gsknn_scalar::GsknnScalar;
+use knn_select::Reservoir;
 
 serde::impl_struct_serde!(KernelStats {
     tiles,
@@ -13,6 +14,7 @@ serde::impl_struct_serde!(KernelStats {
     rows_scanned,
     candidates_offered,
     candidates_kept,
+    compactions,
 });
 
 /// Observability counters collected by the serial driver (zeroed at the
@@ -28,11 +30,18 @@ pub struct KernelStats {
     pub rows_filtered: u64,
     /// Tile rows that reached the scalar candidate scan.
     pub rows_scanned: u64,
-    /// Candidates that passed the stale-threshold check and were offered
-    /// to a heap.
+    /// Candidates that passed the stale-threshold check — in the
+    /// macro-kernel, the survivors popped from a tile's lane mask — and
+    /// were offered to a heap or appended to a reservoir row.
     pub candidates_offered: u64,
-    /// Candidates actually kept by a heap (caused an insert/replace).
+    /// Offered candidates that were kept: by a heap, those that caused an
+    /// insert/replace; by a reservoir row, those still among the row's
+    /// `k` smallest after the compaction that folded them in (the row's
+    /// next one — at the latest the block-exit compaction).
     pub candidates_kept: u64,
+    /// Reservoir compactions: a row reached `k` appended entries
+    /// mid-block, or left its block with entries still appended.
+    pub compactions: u64,
 }
 
 impl KernelStats {
@@ -43,6 +52,7 @@ impl KernelStats {
         self.rows_scanned += other.rows_scanned;
         self.candidates_offered += other.candidates_offered;
         self.candidates_kept += other.candidates_kept;
+        self.compactions += other.compactions;
     }
 
     /// Fraction of tile rows the filter discarded without touching a
@@ -56,10 +66,11 @@ impl KernelStats {
         }
     }
 
-    /// Fraction of offered candidates a heap actually kept (0.0 when
-    /// nothing was offered). High values mean the stale-threshold check
-    /// passes candidates that still win — the heap is doing real work;
-    /// low values mean most offers bounce off the root.
+    /// Fraction of offered candidates that were kept (0.0 when nothing
+    /// was offered). High values mean the stale-threshold check passes
+    /// candidates that still win — selection is doing real work; low
+    /// values mean most offers bounce off the root, or were appended
+    /// under a bound the next compaction tightened past them.
     pub fn selection_rate(&self) -> f64 {
         if self.candidates_offered == 0 {
             0.0
@@ -89,6 +100,10 @@ pub struct GsknnWorkspace<T: GsknnScalar = f64> {
     /// Pruning bound of each query row of the current `ic` block, read by
     /// the macro-kernel's in-register filter (at most `mc` elements).
     pub thr: Vec<T>,
+    /// Appended candidates of the current `ic` block's fresh rows (`k`
+    /// per row of the block plus one `2k` scratch row; empty until a
+    /// macro-kernel sweep needs it).
+    pub reservoir: Reservoir<T>,
     /// Counters for the most recent serial run.
     pub stats: KernelStats,
     /// Phase timings for the most recent run (zero-sized no-op unless
@@ -124,6 +139,7 @@ mod tests {
             rows_scanned: 10,
             candidates_offered: 25,
             candidates_kept: 5,
+            compactions: 2,
         }
     }
 
@@ -136,6 +152,7 @@ mod tests {
             rows_scanned: 8,
             candidates_offered: 15,
             candidates_kept: 1,
+            compactions: 4,
         };
         a.merge(&b);
         assert_eq!(
@@ -146,6 +163,7 @@ mod tests {
                 rows_scanned: 18,
                 candidates_offered: 40,
                 candidates_kept: 6,
+                compactions: 6,
             }
         );
     }
@@ -176,6 +194,7 @@ mod tests {
         let s = sample_stats();
         let v = s.to_value();
         assert_eq!(v.get("tiles").and_then(|t| t.as_u64()), Some(7));
+        assert_eq!(v.get("compactions").and_then(|t| t.as_u64()), Some(2));
         let back = KernelStats::from_value(&v).expect("deserialize");
         assert_eq!(back, s);
         // missing field is an error, not a silent default

@@ -14,11 +14,12 @@ use gemm_kernel::GemmParams;
 use gsknn_scalar::GsknnScalar;
 use knn_select::{Neighbor, NeighborTable};
 
-/// Reusable per-batch scratch for [`Gsknn::update_cross_reusing`]: the
-/// selection heaps (one per query row) and the writeback row that
-/// `update_cross` would otherwise allocate per call. A serving shard keeps
-/// one of these per lane; after warm-up on the largest batch shape the
-/// whole select-and-writeback path is allocation-free.
+/// Reusable per-batch scratch for [`Gsknn::update_cross_reusing`] and
+/// [`Gsknn::update_parallel`]: the selection heaps (one per query row)
+/// and the writeback row that `update_cross` would otherwise allocate per
+/// call. A serving shard keeps one of these per lane; after warm-up on the
+/// largest batch shape the whole select-and-writeback path is
+/// allocation-free.
 #[derive(Default, Debug)]
 pub struct BatchScratch<T: FusedScalar = f64> {
     heaps: Vec<SelHeap<T>>,
@@ -33,6 +34,29 @@ impl<T: FusedScalar> BatchScratch<T> {
             row: Vec::new(),
         }
     }
+
+    /// One heap per row of `table`, holding that row ([`SelHeap::from_row`]),
+    /// with the storage of earlier batches recycled.
+    fn seed(&mut self, table: &NeighborTable<T>, four: bool) -> &mut [SelHeap<T>] {
+        let (m, k) = (table.len(), table.k());
+        self.heaps.reserve(m.saturating_sub(self.heaps.len()));
+        for i in 0..m {
+            match self.heaps.get_mut(i) {
+                Some(h) => h.reset_from_row(k, table.row(i), four),
+                None => self.heaps.push(SelHeap::from_row(k, table.row(i), four)),
+            }
+        }
+        &mut self.heaps[..m]
+    }
+
+    /// Write the first `table.len()` heaps back as sorted rows.
+    fn write_back(&mut self, table: &mut NeighborTable<T>) {
+        for (i, heap) in self.heaps[..table.len()].iter().enumerate() {
+            self.row.clear();
+            heap.sorted_into(&mut self.row);
+            table.set_row(i, &self.row);
+        }
+    }
 }
 
 /// Kernel configuration.
@@ -40,13 +64,14 @@ impl<T: FusedScalar> BatchScratch<T> {
 pub struct GsknnConfig {
     /// Cache-blocking parameters (defaults to the paper's Ivy Bridge set).
     pub params: GemmParams,
-    /// Selection placement; [`Variant::Auto`] switches between Var#1 and
-    /// Var#6 (see [`GsknnConfig::model_switch`]).
+    /// Selection placement; [`Variant::Auto`] is Var#1 unless
+    /// [`GsknnConfig::model_switch`] says otherwise.
     pub variant: Variant,
     /// With `Some(machine)`, `Auto` uses the §2.6 performance model to
     /// pick the faster of Var#1/Var#6 for each `(m, n, d, k)`; with
-    /// `None` it uses the paper's measured rule of thumb (§3): Var#1 for
-    /// `k ≤ 512`, Var#6 above.
+    /// `None` it is Var#1 at every `k`. (The paper's §3 switches to
+    /// Var#6 above `k = 512`; with reservoir selection Var#1 measures
+    /// faster through `k = 2048` — `bench_out/fig5.txt`.)
     pub model_switch: Option<MachineParams>,
 }
 
@@ -130,15 +155,7 @@ impl<T: FusedScalar> Gsknn<T> {
                     let model = Model::new(machine.for_scalar::<T>());
                     model.choose_variant(&ProblemSize { m, n, d, k })
                 }
-                // §3: "For all experiments with k ≤ 512, we use Var#1.
-                // Otherwise, we use Var#6."
-                None => {
-                    if k <= 512 {
-                        Variant::Var1
-                    } else {
-                        Variant::Var6
-                    }
-                }
+                None => Variant::Var1,
             },
             v => v,
         }
@@ -229,15 +246,7 @@ impl<T: FusedScalar> Gsknn<T> {
         let variant = self.effective_variant(q_idx.len(), r_idx.len(), xq.dim(), k);
         // §2.4: Var#1 pairs with the binary heap (small k), Var#6 with the
         // padded 4-heap (large k).
-        let four = variant == Variant::Var6;
-        let m = q_idx.len();
-        scratch.heaps.reserve(m.saturating_sub(scratch.heaps.len()));
-        for i in 0..m {
-            match scratch.heaps.get_mut(i) {
-                Some(h) => h.reset_from_row(k, table.row(i), four),
-                None => scratch.heaps.push(SelHeap::from_row(k, table.row(i), four)),
-            }
-        }
+        let heaps = scratch.seed(table, variant == Variant::Var6);
         let args = DriverArgs {
             xq,
             xr,
@@ -249,14 +258,10 @@ impl<T: FusedScalar> Gsknn<T> {
         };
         self.ws.stats = crate::buffers::KernelStats::default();
         self.ws.phases.reset();
-        run_serial(&args, &mut scratch.heaps[..m], &mut self.ws);
-        self.ws.phases.time(Phase::Writeback, || {
-            for (i, heap) in scratch.heaps[..m].iter().enumerate() {
-                scratch.row.clear();
-                heap.sorted_into(&mut scratch.row);
-                table.set_row(i, &scratch.row);
-            }
-        });
+        run_serial(&args, heaps, &mut self.ws);
+        self.ws
+            .phases
+            .time(Phase::Writeback, || scratch.write_back(table));
         self.phase_accum.merge(&self.ws.phases);
     }
 
@@ -296,14 +301,25 @@ impl<T: FusedScalar> Gsknn<T> {
         p: usize,
     ) -> NeighborTable<T> {
         let mut table = NeighborTable::new(q_idx.len(), k);
-        self.update_parallel(x, q_idx, r_idx, kind, &mut table, p);
+        self.update_parallel(
+            x,
+            q_idx,
+            r_idx,
+            kind,
+            &mut table,
+            p,
+            &mut BatchScratch::new(),
+        );
         table
     }
 
     /// Data-parallel update; see [`Gsknn::run_parallel`] / [`Gsknn::update`].
-    /// Worker counters and phase times are merged, so [`Gsknn::last_stats`]
-    /// and [`Gsknn::last_phases`] report run totals (phase times sum
-    /// worker CPU time and can exceed wall time).
+    /// Heaps and the writeback row come from `scratch`, as in
+    /// [`Gsknn::update_cross_reusing`]. Worker counters and phase times are
+    /// merged, so [`Gsknn::last_stats`] and [`Gsknn::last_phases`] report
+    /// run totals (phase times sum worker CPU time and can exceed wall
+    /// time).
+    #[allow(clippy::too_many_arguments)]
     pub fn update_parallel(
         &mut self,
         x: &PointSet<T>,
@@ -312,24 +328,20 @@ impl<T: FusedScalar> Gsknn<T> {
         kind: DistanceKind,
         table: &mut NeighborTable<T>,
         p: usize,
+        scratch: &mut BatchScratch<T>,
     ) {
         let k = table.k();
         assert_eq!(table.len(), q_idx.len(), "one table row per query");
         validate_indices(x, q_idx, r_idx);
         let variant = self.effective_variant(q_idx.len(), r_idx.len(), x.dim(), k);
-        let four = variant == Variant::Var6;
-        let mut heaps: Vec<SelHeap<T>> = (0..q_idx.len())
-            .map(|i| SelHeap::from_row(k, table.row(i), four))
-            .collect();
+        let heaps = scratch.seed(table, variant == Variant::Var6);
         let args = DriverArgs::same(x, q_idx, r_idx, kind, self.cfg.params, variant);
-        let (stats, phases) = crate::parallel::run_data_parallel(&args, &mut heaps, p.max(1));
+        let (stats, phases) = crate::parallel::run_data_parallel(&args, heaps, p.max(1));
         self.ws.stats = stats;
         self.ws.phases = phases;
-        self.ws.phases.time(Phase::Writeback, || {
-            for (i, heap) in heaps.into_iter().enumerate() {
-                table.set_row(i, &heap.into_sorted_vec());
-            }
-        });
+        self.ws
+            .phases
+            .time(Phase::Writeback, || scratch.write_back(table));
         self.phase_accum.merge(&self.ws.phases);
     }
 }
@@ -369,10 +381,20 @@ mod tests {
 
     #[test]
     fn auto_rule_of_thumb_matches_paper() {
+        // ... up to k = 512. Above, the paper's §3 switches to Var#6; the
+        // reservoir keeps Var#1 ahead there too (bench_out/fig5.txt), so
+        // Auto no longer switches on k.
         let exec: Gsknn = Gsknn::new(GsknnConfig::default());
+        for k in [16, 512, 2048] {
+            assert_eq!(exec.effective_variant(8192, 8192, 64, k), Variant::Var1);
+        }
+        // the model switch remains an explicit opt-in
+        let exec: Gsknn = Gsknn::new(GsknnConfig {
+            model_switch: Some(MachineParams::ivy_bridge_1core()),
+            ..Default::default()
+        });
         assert_eq!(exec.effective_variant(8192, 8192, 64, 16), Variant::Var1);
-        assert_eq!(exec.effective_variant(8192, 8192, 64, 512), Variant::Var1);
-        assert_eq!(exec.effective_variant(8192, 8192, 64, 2048), Variant::Var6);
+        assert_eq!(exec.effective_variant(8192, 8192, 64, 4096), Variant::Var6);
     }
 
     #[test]
@@ -387,11 +409,14 @@ mod tests {
 
     #[test]
     fn reusing_scratch_is_bit_identical_to_fresh() {
-        fn check<T: FusedScalar>(k: usize) {
+        fn check<T: FusedScalar>(k: usize, variant: Variant) {
             let x64 = uniform(300, 10, 23);
             let x: PointSet<T> = x64.cast();
             let r: Vec<usize> = (0..300).collect();
-            let mut exec = Gsknn::<T>::new(GsknnConfig::for_scalar::<T>());
+            let mut exec = Gsknn::<T>::new(GsknnConfig {
+                variant,
+                ..GsknnConfig::for_scalar::<T>()
+            });
             let mut scratch = BatchScratch::new();
             // vary the batch shape across cycles so the scratch is
             // exercised both growing and shrinking
@@ -414,9 +439,9 @@ mod tests {
                 }
             }
         }
-        check::<f64>(8); // Var#1 / binary heap
-        check::<f32>(8);
-        check::<f64>(600); // Var#6 / 4-heap (> 512 rule of thumb)
+        check::<f64>(8, Variant::Auto); // Var#1 / binary heap
+        check::<f32>(8, Variant::Auto);
+        check::<f64>(600, Variant::Var6); // 4-heap, k > n
     }
 
     #[test]

@@ -36,6 +36,23 @@
 //! every ISA; the per-ISA part is the [`SweepTile`] step. A distance has
 //! the same bits whichever entry produced it: one accumulator per output
 //! element, `p` ascending, then the same epilogue instructions.
+//!
+//! A popped survivor is not pushed into its query's heap but **appended**
+//! to that query's row of the block's [`Reservoir`] — one store, no
+//! compare tree. A row that reaches `k` appended entries is compacted
+//! out of line (the `k` smallest of kept ∪ appended, which also refreshes
+//! `thr[i]`), and on the way out of the block every row is compacted
+//! back into its heap, so the caller sees the heaps it would see had
+//! every survivor been pushed. The bound a row is filtered against is
+//! therefore as stale as its last compaction — still never below the
+//! true k-th distance, so rows are unchanged; the counters are not (more
+//! survivors pass). Rows with id-unique insertion (seeded from an
+//! existing list) and 4-heap rows bypass the reservoir and push as
+//! before: `push_unique` drops a candidate whose id is *stored at that
+//! moment*, which depends on arrival order, and only the heap replays it.
+//! So does every row while `k` is below a measured crossover (24, see
+//! `variants::RESERVOIR_MIN_K`), where a push is a few compares and a
+//! compaction is not worth its call.
 
 mod avx2;
 mod avx2_f32;
@@ -46,7 +63,7 @@ use crate::variants::SelHeap;
 use dataset::DistanceKind;
 pub use gemm_kernel::{MR, NR};
 use gsknn_scalar::{GsknnScalar, MAX_TILE};
-use knn_select::Neighbor;
+use knn_select::{Neighbor, Reservoir};
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::row_filter_mask;
@@ -141,6 +158,9 @@ pub struct Sweep<'a, T: GsknnScalar> {
     /// `thr[i] == heaps[i].threshold()`, on entry and on return: the
     /// filter reads its bounds here and never touches a heap for them.
     pub(crate) thr: &'a mut [T],
+    /// The block's reservoir, begun by the loop nest: row `i` takes the
+    /// survivors of query `i` or bypasses them to `heaps[i]`.
+    pub(crate) reservoir: &'a mut Reservoir<T>,
     pub(crate) stats: &'a mut KernelStats,
     pub(crate) phases: &'a mut PhaseSet,
     /// Strip sampling period of the phase probes.
@@ -194,14 +214,17 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
     let (m_rows, n_cols) = (m_tiles * mr, n_tiles * nr);
     assert!(sw.q_pack.len() >= m_rows * dcb && sw.r_pack.len() >= n_cols * dcb);
     assert!(sw.q2.len() >= m_rows && sw.thr.len() >= m_rows && sw.heaps.len() >= m_rows);
+    assert!(sw.reservoir.rows() >= m_rows);
     assert!(sw.r2.len() >= n_cols && sw.r_ids.len() >= n_cols);
     if let Some((cc, ldcc)) = sw.prior {
         assert!(cc.len() >= (m_rows - 1) * ldcc + n_cols);
     }
 
     let filters = T::row_filter_available();
+    // small k, seeded rows: every survivor of this block goes to a heap
+    let heaps_only = sw.reservoir.is_idle();
     let mut out = [T::ZERO; MAX_TILE];
-    let (mut scanned, mut offered, mut kept) = (0u64, 0u64, 0u64);
+    let (mut scanned, mut offered, mut kept, mut compactions) = (0u64, 0u64, 0u64, 0u64);
     let mut probe = SweepProbe::start(sw.sample_every);
     // 3rd loop: reference micro-panels
     for s in 0..n_tiles {
@@ -258,18 +281,49 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
                     last_row = i;
                     offered += 1;
                     // The whole row was filtered against the bound from
-                    // before its first push, as the per-tile scan does;
-                    // `push` re-checks, so this stays exact.
-                    let heap = &mut sw.heaps[row0 + i];
-                    if heap.push(Neighbor::new(out[bit], ids[j] as u32)) {
+                    // before its first survivor, as the per-tile scan
+                    // does; compaction and `push` both re-check, so this
+                    // stays exact.
+                    let row = row0 + i;
+                    let cand = Neighbor::new(out[bit], ids[j] as u32);
+                    if !heaps_only && sw.reservoir.takes(row) {
+                        if sw.reservoir.append(row, cand) {
+                            let done = probe.compaction(sampled, || {
+                                sw.reservoir.compact(row, taken(&mut sw.heaps[row]))
+                            });
+                            sw.thr[row] = done.threshold;
+                            kept += done.admitted as u64;
+                            compactions += 1;
+                        }
+                    } else if sw.heaps[row].push(cand) {
                         kept += 1;
-                        sw.thr[row0 + i] = heap.threshold();
+                        sw.thr[row] = sw.heaps[row].threshold();
                     }
                 }
             }
             if sampled {
                 probe.lap_select();
             }
+        }
+    }
+    probe.end_tiles();
+    // Out of the block: what is still appended goes back into the heaps.
+    for row in 0..m_rows {
+        if !heaps_only && sw.reservoir.takes(row) {
+            if let Some(done) = sw.reservoir.finish_row(row, taken(&mut sw.heaps[row])) {
+                sw.thr[row] = done.threshold;
+                kept += done.admitted as u64;
+                compactions += 1;
+            }
+        }
+        // the contract of `Sweep::thr`, checked wherever tests run
+        if cfg!(any(test, debug_assertions)) {
+            let (bound, root) = (sw.thr[row].to_f64(), sw.heaps[row].threshold().to_f64());
+            assert_eq!(
+                bound.to_bits(),
+                root.to_bits(),
+                "row {row} leaves with a stale bound"
+            );
         }
     }
     let tiles = (m_tiles * n_tiles) as u64;
@@ -281,7 +335,15 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
     sw.stats.rows_filtered += rows - scanned;
     sw.stats.candidates_offered += offered;
     sw.stats.candidates_kept += kept;
+    sw.stats.compactions += compactions;
     probe.finish(sw.phases, tiles);
+}
+
+/// The heap behind a row the reservoir takes.
+#[inline(always)]
+fn taken<T: GsknnScalar>(heap: &mut SelHeap<T>) -> &mut knn_select::BinaryMaxHeap<T> {
+    heap.unchecked_binary()
+        .expect("the loop nest lets the reservoir take unchecked binary heaps only")
 }
 
 /// [`SweepTile`] over [`FusedScalar::fused_tile_pass`] with a scalar
@@ -837,8 +899,9 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     use crate::sweep_tests::{row_bits, RowBits};
 
-    /// Rows and counters of one sweep over a 3×5-tile block at depth 37,
-    /// heaps seeded from the first columns.
+    /// Rows and counters of one sweep over a 3×5-tile block at depth 37;
+    /// even rows are seeded from the first columns (id-unique heaps the
+    /// reservoir bypasses), odd rows are fresh (reservoir rows).
     #[cfg(target_arch = "x86_64")]
     fn sweep_outcome<T: FusedScalar>(
         run: impl Fn(DistanceKind, &mut Sweep<'_, T>),
@@ -858,7 +921,7 @@ mod tests {
         let r2: Vec<T> = r_idx.iter().map(|&j| x.sqnorm(j)).collect();
         let ldcc = n + 3;
         let cc: Vec<T> = uniform(1, m * ldcc, 5).cast::<T>().point(0).to_vec();
-        // seeded, id-unique heaps: the sweep re-offers their own columns
+        // the sweep re-offers the seeded rows their own columns
         let mut heaps: Vec<SelHeap<T>> = q_idx
             .iter()
             .map(|&qi| {
@@ -866,10 +929,12 @@ mod tests {
                     .iter()
                     .map(|&rj| Neighbor::new(kind.eval(x.point(qi), x.point(rj)), rj as u32))
                     .collect();
-                SelHeap::from_row(k, &row, false)
+                SelHeap::from_row(k, if qi.is_multiple_of(2) { &row } else { &[] }, false)
             })
             .collect();
         let mut thr: Vec<T> = heaps.iter().map(SelHeap::threshold).collect();
+        let mut reservoir = Reservoir::new();
+        reservoir.begin_block(k, heaps.iter_mut().map(|h| h.unchecked_binary().is_some()));
         let mut stats = KernelStats::default();
         let mut phases = PhaseSet::new();
         run(
@@ -886,6 +951,7 @@ mod tests {
                 r_ids: &r_idx,
                 heaps: &mut heaps,
                 thr: &mut thr,
+                reservoir: &mut reservoir,
                 stats: &mut stats,
                 phases: &mut phases,
                 sample_every: crate::obs::STRIP_SAMPLE,
@@ -921,6 +987,8 @@ mod tests {
                 assert_eq!(got.1.tiles, 15);
                 assert_eq!(got.1.rows_filtered + got.1.rows_scanned, 15 * T::MR as u64);
                 assert!(got.1.rows_filtered > 0 && got.1.candidates_kept > 0);
+                // 12 fresh rows of k = 3 over 5·NR columns
+                assert!(got.1.compactions >= 12 * 2, "{:?}", got.1);
             }
         }
     }

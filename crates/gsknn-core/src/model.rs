@@ -10,17 +10,29 @@
 //!   the rank-d update + distance epilogue, plus the instruction cost of
 //!   heap selection (≈12 instructions ≈ 24 flop-equivalents per
 //!   adjustment, `ε` the expected fraction of worst-case adjustments).
-//! * `Tm^Var1 = τb(nd + 2n) + τb(dm + 2m)·⌈n/nc⌉ + τb(⌈d/dc⌉−1)·mn +
-//!   2·τl·ε·mk·log₂k` — packing traffic for `Rc`/`R2c` (once) and
-//!   `Qc`/`Qc2` (per `jc` block), the `Cc` rank-dc spill when `d > dc`,
-//!   and the random-access heap updates.
-//! * `Tm^Var6 = Tm^Var1 + τb·mn` — Eq. (4): storing `C` once. Var#6's
-//!   4-heap touches one cache line per level, so its heap term uses the
-//!   contiguous rate `τb` where Var#1's binary heap pays the random rate
-//!   `τl` (§2.6 "for a binary heap, τl is roughly 2τb …; for a 4-heap,
-//!   τl will be roughly equal to τb").
-//! * `Tm^GEMM = Tm^Var1 + τb(dm + dn + 2mn)` — Eq. (5): the explicit
-//!   collection of `Q`, `R` and the write+read of the full `C`.
+//! * `Tm^pack = τb(nd + 2n) + τb(dm + 2m)·⌈n/nc⌉ + τb(⌈d/dc⌉−1)·mn` —
+//!   packing traffic for `Rc`/`R2c` (once) and `Qc`/`Qc2` (per `jc`
+//!   block) and the `Cc` rank-dc spill when `d > dc`; every approach
+//!   pays it.
+//! * `Tm^Var1 = Tm^pack + 2τb·m·(A + 2k·C + ε·k·log₂k·⌈n/nc⌉) + 2τb·mk` —
+//!   **not the paper's term.** Var#1 here selects through a reservoir
+//!   ([`knn_select::Reservoir`]), not a binary heap: a row appends `A`
+//!   `(dist, id)` pairs at the contiguous rate, runs `C` compactions that
+//!   each stream `2k` pairs, sorts its `k` kept pairs once per `jc` block
+//!   (`ε·log₂k` expected moves per pair) and stores them at writeback.
+//!   `A` and `C` follow from the bound being as stale as the last
+//!   compaction ([`Model::reservoir_row`]). Below the kernel's reservoir
+//!   crossover (k < 24) Var#1 still pushes into a binary heap and pays
+//!   the paper's `2·τl·ε·mk·log₂k` random-access term, as GEMM does at
+//!   every k.
+//! * `Tm^Var6 = Tm^pack + 2τb·ε·mk·log₂k + τb·mn + 2τb·m(k + ε·k·log₂k)`
+//!   — Eq. (4): storing `C` once; the 4-heap touches one cache line per
+//!   level, so its heap term uses the contiguous rate (§2.6 "for a
+//!   4-heap, τl will be roughly equal to τb"); draining a heap into a
+//!   sorted row at writeback sorts it.
+//! * `Tm^GEMM = Tm^pack + 2τl·ε·mk·log₂k + τb(dm + dn + 2mn) +
+//!   2τb·m(k + ε·k·log₂k)` — Eq. (5): the explicit collection of `Q`, `R`
+//!   and the write+read of the full `C`, with a binary heap.
 
 use crate::params::Variant;
 use gemm_kernel::GemmParams;
@@ -71,8 +83,9 @@ impl MachineParams {
     /// `8/BYTES` (2× for f32) and contiguous traffic per element scales
     /// by `BYTES/8` (half the bytes per f32, so `τb` halves). The random
     /// access latency `τl` is a cache-line/TLB cost, not a width cost,
-    /// and stays put — which is why f32 shifts the Var#1→Var#6 switch-over
-    /// *down* in `k`: the heap term grows relative to everything else.
+    /// and stays put — so in f32 GEMM's binary-heap term grows relative
+    /// to everything else, while the Var#1→Var#6 switch-over, a balance
+    /// of contiguous traffic on both sides, does not move.
     pub fn for_scalar<T: gsknn_scalar::GsknnScalar>(&self) -> Self {
         let ratio = T::BYTES as f64 / 8.0;
         MachineParams {
@@ -154,51 +167,63 @@ impl Model {
         (2 * p.d + 3) as f64 * p.m as f64 * p.n as f64
     }
 
-    /// Eq. (3): `Tf + To` in seconds (identical for all approaches).
+    /// Eq. (3): `Tf + To` in seconds (identical for all approaches: the
+    /// `mk·log₂k` adjustments are the heap's for Var#6 and GEMM, the row
+    /// sort's comparisons for Var#1).
     pub fn t_compute(&self, p: &ProblemSize) -> f64 {
         let mn = p.m as f64 * p.n as f64;
         let heap_ops = p.m as f64 * p.k as f64 * Self::logk(p.k);
         (self.flops(p) + 24.0 * self.machine.epsilon * (mn + heap_ops)) / self.machine.tau_f
     }
 
-    /// Slow-memory time for GSKNN Var#1.
+    /// Expected `(appends, compactions)` of one Var#1 query row against
+    /// `n` references in `jc_blocks` blocks. A fresh row admits its first
+    /// `k` candidates and compacts; from then on it is filtered by the
+    /// k-th smallest distance *as of its last compaction*. If that was at
+    /// candidate `p`, a fraction `k/p` of what follows passes and the next
+    /// `k` appends take `p` more candidates — compactions fall at
+    /// `k, 2k, 4k, …`: `1 + log₂(n/k)` of them and `k` appends each,
+    /// where a heap with an always-current root admits `k(1 + ln(n/k))`.
+    /// Every further `jc` block ends in one more (block-exit) compaction.
+    pub fn reservoir_row(n: usize, k: usize, jc_blocks: f64) -> (f64, f64) {
+        if n == 0 || k == 0 {
+            return (0.0, 0.0);
+        }
+        let (n, k) = (n as f64, k as f64);
+        if n <= k {
+            return (n, jc_blocks);
+        }
+        let fills = 1.0 + (n / k).log2();
+        (k * fills, fills + jc_blocks - 1.0)
+    }
+
+    /// Slow-memory time for GSKNN Var#1 (see the module docs: reservoir
+    /// selection, not the paper's heap term).
     pub fn tm_var1(&self, p: &ProblemSize) -> f64 {
-        let (m, n, d, k) = (p.m as f64, p.n as f64, p.d as f64, p.k);
-        let mach = &self.machine;
-        let jc_blocks = (p.n as f64 / self.blocks.nc as f64).ceil().max(1.0);
-        let d_blocks = (p.d as f64 / self.blocks.dc as f64).ceil().max(1.0);
-        let pack_r = mach.tau_b * (n * d + 2.0 * n);
-        let pack_q = mach.tau_b * (d * m + 2.0 * m) * jc_blocks;
-        let cc_spill = mach.tau_b * (d_blocks - 1.0) * m * n;
-        let heap = 2.0 * mach.tau_l * mach.epsilon * m * k as f64 * Self::logk(k);
-        pack_r + pack_q + cc_spill + heap
+        self.tm_total(p, Approach::Var1)
     }
 
     /// Slow-memory time for GSKNN Var#6 (Eq. 4) with the 4-heap's
     /// contiguous-rate heap term.
     pub fn tm_var6(&self, p: &ProblemSize) -> f64 {
-        let (m, n, k) = (p.m as f64, p.n as f64, p.k);
-        let mach = &self.machine;
-        // Var#1's terms with the heap at τb instead of τl, plus storing C.
-        let heap_delta =
-            2.0 * (mach.tau_b - mach.tau_l) * mach.epsilon * m * k as f64 * Self::logk(k);
-        self.tm_var1(p) + heap_delta + mach.tau_b * m * n
+        self.tm_total(p, Approach::Var6)
     }
 
     /// Slow-memory time for the GEMM approach (Eq. 5).
     pub fn tm_gemm(&self, p: &ProblemSize) -> f64 {
-        let (m, n, d) = (p.m as f64, p.n as f64, p.d as f64);
-        self.tm_var1(p) + self.machine.tau_b * (d * m + d * n + 2.0 * m * n)
+        self.tm_total(p, Approach::Gemm)
+    }
+
+    /// Sum of [`Model::for_each_tm_term`].
+    fn tm_total(&self, p: &ProblemSize, which: Approach) -> f64 {
+        let mut sum = 0.0;
+        self.for_each_tm_term(p, which, |_, v| sum += v);
+        sum
     }
 
     /// Total predicted time in seconds.
     pub fn predict(&self, p: &ProblemSize, which: Approach) -> f64 {
-        let tm = match which {
-            Approach::Var1 => self.tm_var1(p),
-            Approach::Var6 => self.tm_var6(p),
-            Approach::Gemm => self.tm_gemm(p),
-        };
-        self.t_compute(p) + tm
+        self.t_compute(p) + self.tm_total(p, which)
     }
 
     /// Predicted efficiency in GFLOPS (the paper's y-axis).
@@ -252,38 +277,58 @@ impl Model {
         terms: &mut Vec<(&'static str, f64)>,
     ) {
         terms.clear();
-        let (m, n, d, k) = (p.m as f64, p.n as f64, p.d as f64, p.k);
+        self.for_each_tm_term(p, which, |name, secs| terms.push((name, secs)));
+    }
+
+    /// The itemized slow-memory terms of `which`, in table order.
+    fn for_each_tm_term(
+        &self,
+        p: &ProblemSize,
+        which: Approach,
+        mut term: impl FnMut(&'static str, f64),
+    ) {
+        let (m, n, d, k) = (p.m as f64, p.n as f64, p.d as f64, p.k as f64);
         let mach = &self.machine;
         let jc_blocks = (p.n as f64 / self.blocks.nc as f64).ceil().max(1.0);
         let d_blocks = (p.d as f64 / self.blocks.dc as f64).ceil().max(1.0);
-        terms.push(("pack Rc + R2c", mach.tau_b * (n * d + 2.0 * n)));
-        terms.push((
+        term("pack Rc + R2c", mach.tau_b * (n * d + 2.0 * n));
+        term(
             "pack Qc + Qc2 (per jc block)",
             mach.tau_b * (d * m + 2.0 * m) * jc_blocks,
-        ));
-        terms.push(("Cc rank-dc spill", mach.tau_b * (d_blocks - 1.0) * m * n));
-        let adjustments = mach.epsilon * m * k as f64 * Self::logk(k);
+        );
+        term("Cc rank-dc spill", mach.tau_b * (d_blocks - 1.0) * m * n);
+        // a (dist, id) pair is two elements at the contiguous rate
+        let pair = 2.0 * mach.tau_b;
+        let adjustments = mach.epsilon * m * k * Self::logk(p.k);
+        let store_rows = pair * m * k;
         match which {
-            Approach::Var1 => {
-                terms.push((
+            Approach::Var1 if p.k < crate::variants::RESERVOIR_MIN_K => {
+                term(
                     "heap (binary, random access)",
                     2.0 * mach.tau_l * adjustments,
-                ));
+                );
+                term("writeback", store_rows + pair * adjustments);
+            }
+            Approach::Var1 => {
+                let (appends, compactions) = Self::reservoir_row(p.n, p.k, jc_blocks);
+                term("reservoir appends", pair * m * appends);
+                term("reservoir compactions", pair * m * compactions * 2.0 * k);
+                term("row sort (per jc block)", pair * adjustments * jc_blocks);
+                term("writeback", store_rows);
             }
             Approach::Var6 => {
-                terms.push((
-                    "heap (4-ary, cache-line access)",
-                    2.0 * mach.tau_b * adjustments,
-                ));
-                terms.push(("store C", mach.tau_b * m * n));
+                term("heap (4-ary, cache-line access)", pair * adjustments);
+                term("store C", mach.tau_b * m * n);
+                term("writeback", store_rows + pair * adjustments);
             }
             Approach::Gemm => {
-                terms.push((
+                term(
                     "heap (binary, random access)",
                     2.0 * mach.tau_l * adjustments,
-                ));
-                terms.push(("collect Q, R", mach.tau_b * (d * m + d * n)));
-                terms.push(("C write + re-read", mach.tau_b * 2.0 * m * n));
+                );
+                term("collect Q, R", mach.tau_b * (d * m + d * n));
+                term("C write + re-read", mach.tau_b * 2.0 * m * n);
+                term("writeback", store_rows + pair * adjustments);
             }
         }
     }
@@ -305,20 +350,22 @@ impl Model {
     /// * memory — one instruction per 4-element vector transfer of the
     ///   `Tm` traffic, plus one per random heap access.
     pub fn predicted_ipc(&self, p: &ProblemSize, which: Approach, clock_hz: f64) -> f64 {
-        let (m, _n, _d, k) = (p.m as f64, p.n as f64, p.d as f64, p.k);
         let mach = &self.machine;
         let flop_instr = self.flops(p) / 8.0;
-        let adjustments = mach.epsilon * m * k as f64 * Self::logk(k);
+        let adjustments = mach.epsilon * p.m as f64 * p.k as f64 * Self::logk(p.k);
         let sel_instr = 12.0 * adjustments;
-        // contiguous traffic (elements) = non-heap Tm / τb
-        let heap_s = 2.0 * mach.tau_l * mach.epsilon * m * k as f64 * Self::logk(k);
-        let tm = match which {
-            Approach::Var1 => self.tm_var1(p),
-            Approach::Var6 => self.tm_var6(p),
-            Approach::Gemm => self.tm_gemm(p),
-        };
-        let stream_elems = (tm - heap_s).max(0.0) / mach.tau_b;
-        let mem_instr = stream_elems / 4.0 + 2.0 * adjustments;
+        // random heap accesses (GEMM's binary heap) are one instruction
+        // each; everything else in Tm is contiguous traffic (elements)
+        let mut random_s = 0.0;
+        let mut stream_s = 0.0;
+        self.for_each_tm_term(p, which, |name, secs| {
+            if name == "heap (binary, random access)" {
+                random_s += secs;
+            } else {
+                stream_s += secs;
+            }
+        });
+        let mem_instr = stream_s / mach.tau_b / 4.0 + random_s / mach.tau_l;
         let cycles = self.predict(p, which) * clock_hz * mach.cores as f64;
         (flop_instr + sel_instr + mem_instr) / cycles
     }
@@ -510,18 +557,22 @@ mod tests {
     }
 
     #[test]
-    fn f32_lowers_the_variant_switch_threshold() {
-        // With τl fixed while τf/τb improve, the binary heap's random
-        // accesses dominate sooner — Var#6 should win at a smaller k.
+    fn f32_leaves_the_variant_switch_threshold_where_it_is() {
+        // Var#1 and Var#6 now differ in contiguous traffic only (appends
+        // and compactions against storing C), and f32 halves both sides:
+        // the switch-over no longer moves with the element type. It did
+        // while Var#1 paid the width-independent random rate τl per heap
+        // adjustment — what GEMM's binary heap still pays.
         let m64 = Model::new(MachineParams::ivy_bridge_1core());
         let m32 = Model::new(MachineParams::ivy_bridge_1core().for_scalar::<f32>());
-        let t64 = m64
-            .threshold_k(8192, 8192, 64, 8192)
-            .expect("f64 threshold");
-        let t32 = m32
-            .threshold_k(8192, 8192, 64, 8192)
-            .expect("f32 threshold");
-        assert!(t32 < t64, "f32 {t32} should switch below f64 {t64}");
+        let t64 = m64.threshold_k(8192, 8192, 64, 8192);
+        let t32 = m32.threshold_k(8192, 8192, 64, 8192);
+        assert!(t64.is_some());
+        assert_eq!(t32, t64);
+        let ps = p(8192, 8192, 64, 2048);
+        let gemm_over_var6 =
+            |m: &Model| m.predict(&ps, Approach::Gemm) / m.predict(&ps, Approach::Var6);
+        assert!(gemm_over_var6(&m32) > gemm_over_var6(&m64));
     }
 
     #[test]

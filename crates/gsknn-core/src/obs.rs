@@ -16,11 +16,16 @@
 //! fall back to a monotonic-clock anchor elsewhere.
 //!
 //! A clock read costs about an eighth of a d = 64 tile, so nothing brackets
-//! single tiles of the interior sweep: [`SweepProbe`] times the sweep once
-//! as a whole and splits it between [`Phase::RankDc`] and
+//! single tiles of the interior sweep: [`SweepProbe`] times the sweep's
+//! tile loop once as a whole and splits it between [`Phase::RankDc`] and
 //! [`Phase::Select`] from a 1-in-[`STRIP_SAMPLE`] sample of strips timed
-//! tile by tile. The fringe, the partial passes and the buffered variants
-//! keep one span per tile.
+//! tile by tile. A reservoir compaction is the opposite kind of event —
+//! microseconds long, a few per row, and bunched (every fresh row fills
+//! at the same column), so a strip sample would mostly miss them: each
+//! one is timed exactly and booked to selection, and only the rest of the
+//! tile loop is split by the sample. What follows the tile loop — the
+//! block-exit compactions — is selection too. The fringe, the partial
+//! passes and the buffered variants keep one span per tile.
 
 /// One phase of the fused kernel, in pipeline order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,6 +197,15 @@ pub(crate) struct SweepProbe {
     rank: u64,
     #[cfg(feature = "obs")]
     select: u64,
+    /// Ticks inside mid-block compactions: all of them, and those that
+    /// fell into a sampled strip's `select` laps.
+    #[cfg(feature = "obs")]
+    compact: u64,
+    #[cfg(feature = "obs")]
+    compact_sampled: u64,
+    /// End of the tile loop ([`SweepProbe::end_tiles`]).
+    #[cfg(feature = "obs")]
+    tiles_end: u64,
     #[cfg(feature = "obs")]
     every: usize,
 }
@@ -208,6 +222,9 @@ impl SweepProbe {
                 mark: start,
                 rank: 0,
                 select: 0,
+                compact: 0,
+                compact_sampled: 0,
+                tiles_end: start,
                 every,
             }
         }
@@ -259,21 +276,56 @@ impl SweepProbe {
         }
     }
 
-    /// End the whole-sweep span and book it: the sampled laps give the
-    /// split, each phase gets one span per tile.
+    /// Run a mid-block compaction, timed on its own; `sampled` says
+    /// whether the strip it interrupts is one of the sampled ones.
+    #[inline(always)]
+    pub fn compaction<R>(&mut self, sampled: bool, f: impl FnOnce() -> R) -> R {
+        #[cfg(feature = "obs")]
+        {
+            let t0 = clock::now_ticks();
+            let r = f();
+            let ticks = clock::now_ticks().wrapping_sub(t0);
+            self.compact += ticks;
+            if sampled {
+                self.compact_sampled += ticks;
+            }
+            r
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = sampled;
+            f()
+        }
+    }
+
+    /// The tile loop is over; the rest of the sweep is selection.
+    #[inline(always)]
+    pub fn end_tiles(&mut self) {
+        #[cfg(feature = "obs")]
+        {
+            self.tiles_end = clock::now_ticks();
+        }
+    }
+
+    /// End the whole-sweep span and book it: compactions and the time
+    /// since [`SweepProbe::end_tiles`] are selection, the sampled laps
+    /// split the rest of the tile loop, each phase gets one span per tile.
     #[inline(always)]
     pub fn finish(self, phases: &mut PhaseSet, tiles: u64) {
         #[cfg(feature = "obs")]
         {
-            let total = clock::now_ticks().wrapping_sub(self.start);
-            let sampled = self.rank + self.select;
+            let tail = clock::now_ticks().wrapping_sub(self.tiles_end);
+            let total = self.tiles_end.wrapping_sub(self.start);
+            let rest = total.saturating_sub(self.compact);
+            let select_laps = self.select.saturating_sub(self.compact_sampled);
+            let sampled = self.rank + select_laps;
             let select = if sampled == 0 {
                 0
             } else {
-                (total as u128 * self.select as u128 / sampled as u128) as u64
+                (rest as u128 * select_laps as u128 / sampled as u128) as u64
             };
-            phases.add_ticks(Phase::RankDc, total - select, tiles);
-            phases.add_ticks(Phase::Select, select, tiles);
+            phases.add_ticks(Phase::RankDc, rest - select, tiles);
+            phases.add_ticks(Phase::Select, select + self.compact + tail, tiles);
         }
         let _ = (phases, tiles);
     }

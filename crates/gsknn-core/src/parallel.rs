@@ -10,8 +10,8 @@
 //! leaves stragglers, so `mc` is re-derived per problem
 //! ([`dynamic_mc`]) — the paper's "dynamically deciding mc".
 //!
-//! Allocation discipline: the per-worker `Qc`/`Qc2`/pruning-bound scratch
-//! buffers are created once per worker via `map_init` and reused across
+//! Allocation discipline: the per-worker `Qc`/`Qc2`/pruning-bound/reservoir
+//! scratch buffers are created once per worker via `map_init` and reused across
 //! every chunk that worker processes — the 4th-loop closure itself never
 //! allocates (the buffers only `resize`, which is a no-op after the first
 //! chunk).
@@ -26,6 +26,7 @@ use crate::variants::{
     SelHeap,
 };
 use gemm_kernel::{AlignedBuf, GemmParams};
+use knn_select::Reservoir;
 use rayon::prelude::*;
 
 /// Pick an effective `mc` so the 4th loop splits into a whole number of
@@ -123,6 +124,15 @@ pub fn run_data_parallel<T: FusedScalar>(
             // reuses it for every chunk it processes; the per-chunk
             // closure is allocation-free. Counters/phase times come back
             // in chunk order and fold into the run totals.
+            // per worker: Qc, Qc2, pruning bounds, reservoir
+            let worker_scratch = || {
+                (
+                    AlignedBuf::new(),
+                    AlignedBuf::new(),
+                    Vec::new(),
+                    Reservoir::new(),
+                )
+            };
             let heap_chunks = heaps.par_chunks_mut(mc);
             let nchunks = m.div_ceil(mc);
             let worker_obs: Vec<(KernelStats, PhaseSet)> = if geo.need_cc {
@@ -131,8 +141,8 @@ pub fn run_data_parallel<T: FusedScalar>(
                     .zip(heap_chunks)
                     .enumerate()
                     .map_init(
-                        || (AlignedBuf::new(), AlignedBuf::new(), Vec::new()),
-                        |(q_pack, q2_pack, thr), (ci, (cc_rows, heap_chunk))| {
+                        worker_scratch,
+                        |(q_pack, q2_pack, thr, reservoir), (ci, (cc_rows, heap_chunk))| {
                             let ic = ci * mc;
                             let mcb = (m - ic).min(mc);
                             let mut stats = KernelStats::default();
@@ -147,6 +157,7 @@ pub fn run_data_parallel<T: FusedScalar>(
                                 q_pack,
                                 q2_pack,
                                 thr,
+                                reservoir,
                                 Some(cc_rows),
                                 heap_chunk,
                                 &mut stats,
@@ -160,8 +171,8 @@ pub fn run_data_parallel<T: FusedScalar>(
                 heap_chunks
                     .enumerate()
                     .map_init(
-                        || (AlignedBuf::new(), AlignedBuf::new(), Vec::new()),
-                        |(q_pack, q2_pack, thr), (ci, heap_chunk)| {
+                        worker_scratch,
+                        |(q_pack, q2_pack, thr, reservoir), (ci, heap_chunk)| {
                             let ic = ci * mc;
                             let mcb = (m - ic).min(mc);
                             let mut stats = KernelStats::default();
@@ -176,6 +187,7 @@ pub fn run_data_parallel<T: FusedScalar>(
                                 q_pack,
                                 q2_pack,
                                 thr,
+                                reservoir,
                                 None,
                                 heap_chunk,
                                 &mut stats,

@@ -1,6 +1,9 @@
-//! The macro-kernel against the per-tile path it replaced for full tiles:
-//! same rows bit for bit, same counters, same bits across batch shapes —
-//! and, with `obs`, the probe budget of an interior sweep.
+//! The path-equivalence property: one generator over precision, norm,
+//! `k`, row state, ties, blocking and driver; the heap-only per-tile path
+//! is the reference and every other path must return its rows bit for
+//! bit. Plus what a whole call promises about one query's bits across
+//! batch shapes, about block-local scratch and — with `obs` — about the
+//! probe budget of an interior sweep.
 
 use crate::buffers::{GsknnWorkspace, KernelStats};
 use crate::microkernel::FusedScalar;
@@ -42,37 +45,116 @@ pub(crate) fn row_bits<T: FusedScalar>(heaps: Vec<SelHeap<T>>) -> RowBits {
         .collect()
 }
 
-/// One kernel call through the sweep (serial, or data-parallel on `p`
-/// chunks) and through the per-tile path, from identical heaps.
-#[allow(clippy::too_many_arguments)]
-fn interior_vs_per_tile<T: FusedScalar>(
+/// What the query rows hold when the call under test starts.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Rows {
+    /// Empty heaps: the reservoir takes every full-tile row.
+    Fresh,
+    /// Lists from an earlier call, rebuilt with `from_row`: id-unique
+    /// insertion, and the call re-offers the ids they store.
+    Seeded,
+    /// Seeded and fresh rows alternating inside every block.
+    Mixed,
+    /// The heaps an earlier call left, pushed into again as they are.
+    Carried,
+}
+
+/// One problem of the equivalence property.
+#[derive(Clone, Copy, Debug)]
+struct Case {
     m: usize,
     n: usize,
     d: usize,
     k: usize,
     kind: DistanceKind,
-    params: GemmParams,
-    seeded: bool,
-    p: Option<usize>,
-) -> Result<(), String> {
-    let x: PointSet<T> = uniform(m + n, d, (m * 131 + n * 7 + d) as u64).cast();
+    /// `tiny_for` blocking, else a block three tiles wide and five long.
+    tiny: bool,
+    rows: Rows,
+    /// Points drawn from this many distinct coordinates (exact distance
+    /// ties between different ids), or all distinct.
+    distinct: Option<usize>,
+}
+
+fn cases() -> impl Strategy<Value = Case> {
+    (
+        (1usize..60, 1usize..130, 1usize..20), // dc = 8: a Cc prior above
+        // 1, 3 and 16 push into heaps inside the sweep (RESERVOIR_MIN_K),
+        // the rest go through the reservoir; 512 >= n unless `far` lifts n
+        prop::sample::select(vec![1usize, 3, 16, 24, 24, 40, 512]),
+        prop::sample::select(vec![false, false, false, true]),
+        prop::sample::select(kinds()),
+        prop::sample::select(vec![true, false]),
+        prop::sample::select(vec![Rows::Fresh, Rows::Seeded, Rows::Mixed, Rows::Carried]),
+        prop::sample::select(vec![None, None, Some(1usize), Some(7)]),
+    )
+        .prop_map(|((m, n, d), k, far, kind, tiny, rows, distinct)| Case {
+            m,
+            n: if far { n + 512 } else { n },
+            d,
+            k,
+            kind,
+            tiny,
+            rows,
+            distinct,
+        })
+}
+
+/// Every path over one problem, from identical heaps, against the
+/// per-tile path.
+fn paths_agree<T: FusedScalar>(c: Case) -> Result<(), String> {
+    let Case { m, n, d, k, .. } = c;
+    let seed = (m * 131 + n * 7 + d) as u64;
+    let x: PointSet<T> = match c.distinct {
+        None => uniform(m + n, d, seed).cast(),
+        Some(p) => {
+            let base = uniform(p, d, seed);
+            let cols: Vec<f64> = (0..m + n)
+                .flat_map(|j| base.point(j % p).to_vec())
+                .collect();
+            PointSet::from_vec(d, m + n, cols).cast()
+        }
+    };
+    let params = if c.tiny {
+        GemmParams::tiny_for::<T>()
+    } else {
+        GemmParams {
+            dc: 8,
+            mc: 3 * T::MR,
+            nc: 5 * T::NR,
+        }
+    };
     let q_idx: Vec<usize> = (0..m).map(|i| (i * 5 + 1) % (m + n)).collect();
     let r_idx: Vec<usize> = (0..n).rev().map(|j| j + m / 2).collect();
-    let args = |r| DriverArgs::same(&x, &q_idx, r, kind, params, Variant::Var1);
+    let args = |r| DriverArgs::same(&x, &q_idx, r, c.kind, params, Variant::Var1);
 
     let mut heaps: Vec<SelHeap<T>> = (0..m).map(|_| SelHeap::new(k, false)).collect();
-    if seeded {
-        // lists from a first call over some of the references: the second
-        // call re-offers them, so `push_unique` has duplicates to drop
-        let mut ws = GsknnWorkspace::new();
-        run_serial(&args(&r_idx[..n.div_ceil(3)]), &mut heaps, &mut ws);
+    if c.rows != Rows::Fresh {
+        // an earlier call over some of the references, on the reference
+        // path; the call under test offers those ids again
+        with_interior(Interior::PerTile, || {
+            run_serial(
+                &args(&r_idx[..n.div_ceil(3)]),
+                &mut heaps,
+                &mut GsknnWorkspace::new(),
+            )
+        });
+        let reseed = |i: usize| match c.rows {
+            Rows::Seeded => true,
+            Rows::Mixed => i.is_multiple_of(2),
+            _ => false,
+        };
         heaps = heaps
             .into_iter()
-            .map(|h| SelHeap::from_row(k, &h.into_sorted_vec(), false))
+            .enumerate()
+            .map(|(i, h)| match (reseed(i), c.rows) {
+                (true, _) => SelHeap::from_row(k, &h.into_sorted_vec(), false),
+                (false, Rows::Mixed) => SelHeap::new(k, false),
+                (false, _) => h,
+            })
             .collect();
     }
 
-    let run = |interior| {
+    let run = |interior, p: Option<usize>| {
         with_interior(interior, || {
             let mut heaps = heaps.clone();
             let stats = match p {
@@ -86,14 +168,26 @@ fn interior_vs_per_tile<T: FusedScalar>(
             (row_bits(heaps), stats)
         })
     };
-    let (want_rows, want_stats) = run(Interior::PerTile);
-    let (got_rows, got_stats) = run(Interior::Sweep(crate::obs::STRIP_SAMPLE));
-    prop_assert_eq!(got_rows, want_rows);
-    prop_assert_eq!(got_stats, want_stats);
+    let sweep = Interior::Sweep(crate::obs::STRIP_SAMPLE);
+    let (want, per_tile) = run(Interior::PerTile, None);
+    let (rows, stats) = run(sweep, None);
+    prop_assert_eq!(&rows, &want);
+    prop_assert_eq!(stats.tiles, per_tile.tiles);
+    prop_assert_eq!(stats.tiles, (m.div_ceil(T::MR) * n.div_ceil(T::NR)) as u64);
     prop_assert_eq!(
-        got_stats.tiles,
-        (m.div_ceil(T::MR) * n.div_ceil(T::NR)) as u64
+        stats.rows_filtered + stats.rows_scanned,
+        per_tile.rows_filtered + per_tile.rows_scanned
     );
+    // a staler bound passes more, never fewer
+    prop_assert!(stats.candidates_offered >= per_tile.candidates_offered);
+    prop_assert!(stats.candidates_kept <= stats.candidates_offered);
+    prop_assert_eq!(per_tile.compactions, 0);
+    // the same call again: same rows, same counters
+    prop_assert_eq!(run(sweep, None), (rows, stats));
+    for p in [1, 3] {
+        prop_assert_eq!(&run(sweep, Some(p)).0, &want);
+        prop_assert_eq!(&run(Interior::PerTile, Some(p)).0, &want);
+    }
     Ok(())
 }
 
@@ -107,50 +201,80 @@ fn kinds() -> Vec<DistanceKind> {
     ]
 }
 
-/// `tiny_for` (mc = 2·MR, nc = 3·NR, dc = 8) or a block three tiles wide
-/// and five long, so m and n straddle MR, NR, mc and nc either way.
-fn blocking<T: FusedScalar>(tiny: bool) -> GemmParams {
-    if tiny {
-        GemmParams::tiny_for::<T>()
-    } else {
-        GemmParams {
-            dc: 8,
-            mc: 3 * T::MR,
-            nc: 5 * T::NR,
-        }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn interior_sweep_is_the_per_tile_path_bitwise_f64(case in cases()) {
+        paths_agree::<f64>(case)?;
+    }
+
+    #[test]
+    fn interior_sweep_is_the_per_tile_path_bitwise_f32(case in cases()) {
+        paths_agree::<f32>(case)?;
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+#[test]
+fn the_reservoir_compacts_where_the_property_says_it_does() {
+    // the property compares paths; this pins that its sweep side is the
+    // reservoir: k < n on full tiles must compact mid-block and at exit
+    let case = Case {
+        m: 24,
+        n: 120,
+        d: 5,
+        k: 24,
+        kind: DistanceKind::SqL2,
+        tiny: false,
+        rows: Rows::Fresh,
+        distinct: None,
+    };
+    paths_agree::<f64>(case).unwrap();
+    let x = uniform(case.m + case.n, case.d, 1);
+    let q_idx: Vec<usize> = (0..case.m).collect();
+    let r_idx: Vec<usize> = (case.m..case.m + case.n).collect();
+    let params = GemmParams::ivy_bridge();
+    let args = DriverArgs::same(&x, &q_idx, &r_idx, case.kind, params, Variant::Var1);
+    let mut heaps: Vec<SelHeap> = (0..case.m).map(|_| SelHeap::new(case.k, false)).collect();
+    let mut ws = GsknnWorkspace::new();
+    run_serial(&args, &mut heaps, &mut ws);
+    // 120 candidates fill a 24-entry row at least thrice (24, 48, 96)
+    assert!(ws.stats.compactions >= 3 * case.m as u64, "{:?}", ws.stats);
+    assert!(ws.stats.candidates_kept >= (case.k * case.m) as u64);
+}
 
-    #[test]
-    fn interior_sweep_is_the_per_tile_path_bitwise_f64(
-        m in 1usize..60,
-        n in 1usize..50,
-        d in 1usize..20, // dc = 8: one pass up to 8, Cc prior above
-        k in prop::sample::select(vec![1usize, 3, 8]),
-        kind in prop::sample::select(kinds()),
-        tiny in prop::sample::select(vec![true, false]),
-        seeded in prop::sample::select(vec![false, true]),
-        p in prop::sample::select(vec![None, Some(1usize), Some(3)]),
-    ) {
-        interior_vs_per_tile::<f64>(m, n, d, k, kind, blocking::<f64>(tiny), seeded, p)?;
-    }
-
-    #[test]
-    fn interior_sweep_is_the_per_tile_path_bitwise_f32(
-        m in 1usize..60,
-        n in 1usize..90,
-        d in 1usize..20,
-        k in prop::sample::select(vec![1usize, 3, 8]),
-        kind in prop::sample::select(kinds()),
-        tiny in prop::sample::select(vec![true, false]),
-        seeded in prop::sample::select(vec![false, true]),
-        p in prop::sample::select(vec![None, Some(1usize), Some(3)]),
-    ) {
-        interior_vs_per_tile::<f32>(m, n, d, k, kind, blocking::<f32>(tiny), seeded, p)?;
-    }
+#[test]
+fn the_model_counts_appends_and_compactions_as_the_kernel_does() {
+    // §2.6's Var#1 term rests on `Model::reservoir_row`; the counters it
+    // predicts are exact and repeatable, so hold it to them
+    let (m, n, d, k) = (64, 4096, 8, 256);
+    let x = uniform(m + n, d, 11);
+    let q_idx: Vec<usize> = (0..m).collect();
+    let r_idx: Vec<usize> = (m..m + n).collect();
+    let params = GemmParams::ivy_bridge(); // nc = 4096: one jc block
+    let args = DriverArgs::same(
+        &x,
+        &q_idx,
+        &r_idx,
+        DistanceKind::SqL2,
+        params,
+        Variant::Var1,
+    );
+    let mut heaps: Vec<SelHeap> = (0..m).map(|_| SelHeap::new(k, false)).collect();
+    let mut ws = GsknnWorkspace::new();
+    run_serial(&args, &mut heaps, &mut ws);
+    let (appends, compactions) = crate::Model::reservoir_row(n, k, 1.0);
+    let per_row = |count: u64| count as f64 / m as f64;
+    let offered = per_row(ws.stats.candidates_offered);
+    assert!(
+        (offered / appends - 1.0).abs() < 0.1,
+        "{offered} appends per row, model {appends}"
+    );
+    let measured = per_row(ws.stats.compactions);
+    assert!(
+        (measured - compactions).abs() < 1.0,
+        "{measured} compactions per row, model {compactions}"
+    );
 }
 
 /// A reply computed inside one batch shape is compared, upstream, with
@@ -216,12 +340,25 @@ fn sweep_sizes_the_bound_cache_to_one_block() {
         params,
         Variant::Var1,
     );
-    let mut heaps: Vec<SelHeap> = (0..300).map(|_| SelHeap::new(4, false)).collect();
+    let k = 4;
+    let mut heaps: Vec<SelHeap> = (0..300).map(|_| SelHeap::new(k, false)).collect();
     let mut ws = GsknnWorkspace::new();
     assert_eq!(ws.thr.capacity(), 0, "nothing allocated before a sweep");
+    assert_eq!(ws.reservoir.footprint(), 0);
     run_serial(&args, &mut heaps, &mut ws);
     assert!(!ws.thr.is_empty() && ws.thr.len() <= params.mc);
     assert_ne!(ws.stats, KernelStats::default());
+    // the reservoir follows the block (mc rows), not the 300 queries: k
+    // appended pairs and a pad line per row, the 2k scratch row, and a
+    // length word and a flag per row
+    assert!(ws.reservoir.rows() <= params.mc);
+    let pair = std::mem::size_of::<knn_select::Neighbor>();
+    let bound = params.mc * ((k + 64 / pair) * pair + 5) + 2 * k * pair;
+    assert!(
+        (1..=bound).contains(&ws.reservoir.footprint()),
+        "{} bytes, bound {bound}",
+        ws.reservoir.footprint()
+    );
 }
 
 /// The probes of an interior sweep (`obs` on): a budget on clock reads,
@@ -264,7 +401,12 @@ mod probes {
         let sweeps = (m.div_ceil(params.mc) * m.div_ceil(params.nc)) as u64;
         let strips = sweeps * (m / 4) as u64;
         let packs = 2 * (sweeps + m.div_ceil(params.nc) as u64); // PackQ + PackR spans
-        let budget = 2 * sweeps + 4 * tiles / STRIP_SAMPLE as u64 + 2 * strips + packs;
+                                                                 // ... two more around every compaction
+        let budget = 3 * sweeps
+            + 4 * tiles / STRIP_SAMPLE as u64
+            + 2 * strips
+            + packs
+            + 2 * stats.compactions;
         assert!(
             reads <= budget,
             "{reads} reads for {tiles} tiles, budget {budget}"
@@ -272,7 +414,7 @@ mod probes {
         // ... where a span per tile and phase reads four times per tile
         let (_, _, per_tile) = call(m, d, 16, Interior::PerTile);
         assert_eq!(per_tile, 4 * tiles + packs);
-        assert!(reads * 8 < per_tile);
+        assert!(reads * 3 < per_tile, "{reads} vs {per_tile}");
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::params::Variant;
 use dataset::{DistanceKind, PointSet};
 use gemm_kernel::{AlignedBuf, GemmParams};
 use gsknn_scalar::{GsknnScalar, MAX_TILE};
-use knn_select::{BinaryMaxHeap, FourHeap, Neighbor};
+use knn_select::{BinaryMaxHeap, FourHeap, Neighbor, Reservoir};
 
 /// Per-query selection heap: binary for small `k` (Var#1's choice), 4-ary
 /// for large `k` (Var#6's choice) — §2.4 "Heap selection".
@@ -66,12 +66,9 @@ impl<T: GsknnScalar> SelHeap<T> {
     /// Build from an existing neighbor row (sentinels dropped); id-unique
     /// insertion is enabled iff the row holds any real entry.
     pub fn from_row(k: usize, row: &[Neighbor<T>], four: bool) -> Self {
-        let seeded = row.iter().any(|n| n.dist.is_finite());
-        if four {
-            SelHeap::Four(FourHeap::from_row(k, row), seeded)
-        } else {
-            SelHeap::Bin(BinaryMaxHeap::from_row(k, row), seeded)
-        }
+        let mut heap = SelHeap::new(k, four);
+        heap.reset_from_row(k, row, four);
+        heap
     }
 
     /// Offer a candidate.
@@ -114,28 +111,40 @@ impl<T: GsknnScalar> SelHeap<T> {
 
     /// Re-initialize in place to exactly what [`SelHeap::from_row`] would
     /// build, reusing the backing storage when the heap layout matches.
-    ///
-    /// The rebuilt contents are identical to `from_row`'s: seeding a heap
-    /// of capacity `k` with a row of at most `k` entries never evicts, so
-    /// heapify-from-slice and push-one-at-a-time keep the same entry set.
     pub fn reset_from_row(&mut self, k: usize, row: &[Neighbor<T>], four: bool) {
-        let seeded = row.iter().any(|n| n.dist.is_finite());
         match (&mut *self, four) {
             (SelHeap::Bin(h, dedup), false) => {
-                h.reset(k);
-                for nb in row.iter().filter(|n| n.dist.is_finite()) {
-                    h.push(*nb);
-                }
-                *dedup = seeded;
+                h.reset_from_row(k, row);
+                *dedup = !h.is_empty();
             }
             (SelHeap::Four(h, dedup), true) => {
+                // as `FourHeap::from_row`: at most `k` entries, so no
+                // push evicts
                 h.reset(k);
                 for nb in row.iter().filter(|n| n.dist.is_finite()) {
                     h.push(*nb);
                 }
-                *dedup = seeded;
+                *dedup = !h.is_empty();
             }
             _ => *self = SelHeap::from_row(k, row, four),
+        }
+    }
+
+    /// Capacity `k`.
+    pub fn capacity(&self) -> usize {
+        match self {
+            SelHeap::Bin(h, _) => h.capacity(),
+            SelHeap::Four(h, _) => h.capacity(),
+        }
+    }
+
+    /// The binary heap of a row whose insertion is not id-unique — the
+    /// rows the macro-kernel's reservoir takes (module docs of
+    /// [`crate::microkernel`]).
+    pub(crate) fn unchecked_binary(&mut self) -> Option<&mut BinaryMaxHeap<T>> {
+        match self {
+            SelHeap::Bin(h, false) => Some(h),
+            _ => None,
         }
     }
 }
@@ -238,6 +247,24 @@ pub(crate) struct RefBlock<'a, T: GsknnScalar = f64> {
     pub pc: usize,
 }
 
+/// Smallest `k` whose rows go through the reservoir; smaller `k` keeps
+/// pushing into the heap, where a push is a compare or a few levels and
+/// cheaper than a row's share of a compaction. Measured, Var#1, f64,
+/// sq-ℓ2, one core, heap → reservoir:
+///
+/// * m = n = 4096, d = 16, ms per call: k = 1 22.2 → 24.4, k = 8 30.5 →
+///   34.0, k = 16 45.3 → 43.0, k = 32 62.4 → 50.0, k = 64 115 → 69;
+/// * the same at d = 64: k = 8 78.5 → 81.9, k = 16 86.6 → 85.4 (two
+///   readings each), k = 24 96.3 → 88.3, k = 32 107.3 → 97.4;
+/// * the k-means assignment shape m = 65536, n = 8, k = 1: 9.7 → 22.7;
+/// * k = 16 on the ledger (10 alternating pairs, gathered ids, d = 64):
+///   `kernel_paper` +1.4 % (9 of 10 pairs) in one set, −3.4 % (0 of 10)
+///   in another; `serve_exact_batch` −1.1 % and −3.1 %.
+///
+/// So k = 16 is unresolved — a wash at best on the paper's regime — and
+/// 24 is the smallest k measured ahead in every reading.
+pub(crate) const RESERVOIR_MIN_K: usize = 24;
+
 /// How [`ic_block_body`] treats the full tiles of Var#1's last pass.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Interior {
@@ -286,6 +313,7 @@ pub(crate) fn ic_block_body<T: FusedScalar>(
     q_pack: &mut AlignedBuf<T>,
     q2_pack: &mut AlignedBuf<T>,
     thr: &mut Vec<T>,
+    reservoir: &mut Reservoir<T>,
     mut cc_rows: Option<&mut [T]>,
     heaps: &mut [SelHeap<T>],
     stats: &mut KernelStats,
@@ -334,6 +362,16 @@ pub(crate) fn ic_block_body<T: FusedScalar>(
         (m_full, n_full) = (mcb / mr * mr, rb.ncb / nr * nr);
         thr.clear();
         thr.extend(heaps[..m_full].iter().map(SelHeap::threshold));
+        // One reservoir shape per block: rows of another capacity, with
+        // id-unique insertion or on a 4-heap keep pushing — and so does
+        // every row while k is small.
+        let k = heaps[0].capacity();
+        reservoir.begin_block(
+            k,
+            heaps[..m_full].iter_mut().map(|h| {
+                k >= RESERVOIR_MIN_K && h.capacity() == k && h.unchecked_binary().is_some()
+            }),
+        );
         let prior = if multipass && !rb.first {
             let cc = cc_rows.as_deref().expect("multipass requires Cc");
             Some((&cc[rb.col0..], ldcc))
@@ -354,6 +392,7 @@ pub(crate) fn ic_block_body<T: FusedScalar>(
                 r_ids: &args.r_idx[rb.jc..rb.jc + n_full],
                 heaps: &mut *heaps,
                 thr,
+                reservoir,
                 stats: &mut *stats,
                 phases: &mut *phases,
                 sample_every,
@@ -531,6 +570,7 @@ pub fn run_serial<T: FusedScalar>(
         r2_pack,
         cc,
         thr,
+        reservoir,
         stats,
         phases,
         ..
@@ -592,6 +632,7 @@ pub fn run_serial<T: FusedScalar>(
                     q_pack,
                     q2_pack,
                     thr,
+                    reservoir,
                     cc_rows,
                     &mut heaps[ic..ic + mcb],
                     stats,

@@ -66,6 +66,9 @@ fn drift_join(
     push(
         "selection",
         &[
+            "reservoir appends",
+            "reservoir compactions",
+            "row sort (per jc block)",
             "heap (binary, random access)",
             "heap (4-ary, cache-line access)",
         ],
@@ -73,13 +76,14 @@ fn drift_join(
         None,
         Phase::Select,
     );
-    push("writeback (unmodeled)", &[], 0.0, None, Phase::Writeback);
+    push("writeback", &["writeback"], 0.0, None, Phase::Writeback);
     rows
 }
 
 /// Profile one kNN problem: time Var#1 and Var#6 (`reps` repetitions
 /// each, best kept), read the phase breakdown and kernel counters of the
-/// model-chosen variant, and join everything against the model. Generic
+/// variant `Variant::Auto` resolves to, join them against the model, and
+/// judge the model's own Var#1/Var#6 pick against the clock. Generic
 /// over the element type: for `f32` the machine constants are rescaled
 /// (`MachineParams::for_scalar`) so the drift join compares against the
 /// doubled-lane predictions, and the blocking comes from
@@ -134,21 +138,15 @@ pub fn profile_run<T: FusedScalar>(
         observed.push((phases, stats));
     }
 
-    let predicted_variant = model.choose_variant(&ps);
-    let chosen = if predicted_variant == Variant::Var6 {
-        1
-    } else {
-        0
-    };
-    let empirical = if variants[0].measured <= variants[1].measured {
-        0
-    } else {
-        1
-    };
-    let (phases, stats) = observed[chosen];
-    let approach = candidates[chosen].1;
-    let measured_total = variants[chosen].measured;
-    let predicted_total = variants[chosen].predicted;
+    let index_of = |v: Variant| usize::from(v == Variant::Var6);
+    let predicted = index_of(model.choose_variant(&ps));
+    let empirical = usize::from(variants[0].measured > variants[1].measured);
+    let auto: Gsknn<T> = Gsknn::new(GsknnConfig::for_scalar::<T>());
+    let profiled = index_of(auto.effective_variant(ps.m, ps.n, ps.d, ps.k));
+    let (phases, stats) = observed[profiled];
+    let approach = candidates[profiled].1;
+    let measured_total = variants[profiled].measured;
+    let predicted_total = variants[profiled].predicted;
 
     ProfileReport {
         m: ps.m,
@@ -159,9 +157,10 @@ pub fn profile_run<T: FusedScalar>(
         kind: kind.name().to_string(),
         reps,
         obs_enabled: gsknn_core::obs::enabled(),
-        variant_predicted: variants[chosen].variant.clone(),
+        variant_predicted: variants[predicted].variant.clone(),
         variant_empirical: variants[empirical].variant.clone(),
-        model_choice_correct: chosen == empirical,
+        model_choice_correct: predicted == empirical,
+        variant_profiled: variants[profiled].variant.clone(),
         measured_total,
         predicted_total,
         measured_gflops: model.flops(&ps) / measured_total / 1e9,
@@ -221,9 +220,14 @@ mod tests {
         assert!(r.measured_gflops > 0.0);
         assert!(r.predicted_gflops > 0.0);
         assert!(r.stats.tiles > 0);
-        // the model-chosen variant is one of the two candidates
-        assert!(r.variants.iter().any(|v| v.variant == r.variant_predicted));
-        assert!(r.variants.iter().any(|v| v.variant == r.variant_empirical));
+        // predicted, fastest and profiled are each one of the candidates
+        for name in [
+            &r.variant_predicted,
+            &r.variant_empirical,
+            &r.variant_profiled,
+        ] {
+            assert!(r.variants.iter().any(|v| &v.variant == name));
+        }
         assert_eq!(
             r.model_choice_correct,
             r.variant_predicted == r.variant_empirical
@@ -240,7 +244,7 @@ mod tests {
             d: 16,
             k: 8,
         };
-        let approach = if r.variant_predicted == Variant::Var6.name() {
+        let approach = if r.variant_profiled == Variant::Var6.name() {
             Approach::Var6
         } else {
             Approach::Var1
@@ -264,14 +268,10 @@ mod tests {
                 .count();
             assert_eq!(hits, 1, "term {name} joined {hits} times");
         }
-        // the unmodeled writeback row predicts nothing
-        let wb = r
-            .drift
-            .iter()
-            .find(|d| d.component == "writeback (unmodeled)")
-            .unwrap();
-        assert_eq!(wb.predicted, 0.0);
-        assert!(wb.ratio().is_none());
+        // storing the sorted rows is a term of its own
+        let wb = r.drift.iter().find(|d| d.component == "writeback").unwrap();
+        assert_eq!(wb.terms, vec!["writeback".to_string()]);
+        assert!(wb.predicted > 0.0);
     }
 
     #[cfg(feature = "obs")]

@@ -187,17 +187,21 @@ pub struct ProfileReport {
     pub variant_empirical: String,
     /// Did the model pick the empirically fastest variant?
     pub model_choice_correct: bool,
+    /// The variant `Variant::Auto` resolves to for this problem — what a
+    /// default-configured kernel runs. Totals, phases, drift and counters
+    /// below are this variant's.
+    pub variant_profiled: String,
     /// Per-variant predicted vs measured totals.
     pub variants: Vec<VariantTiming>,
-    /// Measured total of the model-chosen variant (seconds).
+    /// Measured total of the profiled variant (seconds).
     pub measured_total: f64,
-    /// Predicted total of the model-chosen variant (seconds).
+    /// Predicted total of the profiled variant (seconds).
     pub predicted_total: f64,
-    /// Realized GFLOPS of the model-chosen variant.
+    /// Realized GFLOPS of the profiled variant.
     pub measured_gflops: f64,
-    /// Predicted GFLOPS of the model-chosen variant.
+    /// Predicted GFLOPS of the profiled variant.
     pub predicted_gflops: f64,
-    /// Measured phase breakdown of the model-chosen variant.
+    /// Measured phase breakdown of the profiled variant.
     pub phases: Vec<PhaseRow>,
     /// Model-vs-measured drift per component.
     pub drift: Vec<DriftRow>,
@@ -279,6 +283,10 @@ impl ProfileReport {
                 "model_choice_correct".into(),
                 Value::from(self.model_choice_correct),
             ),
+            (
+                "variant_profiled".into(),
+                Value::from(self.variant_profiled.clone()),
+            ),
             ("variants".into(), Value::Array(variants)),
             ("measured_total_s".into(), Value::from(self.measured_total)),
             (
@@ -328,7 +336,7 @@ impl ProfileReport {
         }
         out.push_str(&format!(
             "total ({}): measured {} @ {:.2} GFLOPS | predicted {} @ {:.2} GFLOPS\n",
-            self.variant_predicted,
+            self.variant_profiled,
             fmt_secs(self.measured_total),
             self.measured_gflops,
             fmt_secs(self.predicted_total),
@@ -371,10 +379,11 @@ impl ProfileReport {
             }
         }
         out.push_str(&format!(
-            "kernel stats: {} tiles, filter rate {:.3}, selection rate {:.3}\n",
+            "kernel stats: {} tiles, filter rate {:.3}, selection rate {:.3}, {} compactions\n",
             self.stats.tiles,
             self.stats.filter_rate(),
-            self.stats.selection_rate()
+            self.stats.selection_rate(),
+            self.stats.compactions
         ));
         out
     }

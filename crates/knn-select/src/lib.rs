@@ -12,6 +12,10 @@
 //!   paper's "4-heap" used by Var#6 for large `k`.
 //! * [`quickselect_k_smallest`] — Hoare's FIND: O(n) average selection of the k
 //!   smallest, used as a baseline (Table 3 row "Quick Select").
+//! * [`Reservoir`] — append-then-compact selection for a block of rows:
+//!   candidates are stored, not sifted, and [`select_k_smallest`] folds
+//!   every `k` of them into the row's heap. What Var#1's macro-kernel
+//!   selects with.
 //! * [`merge_select`] — chunked merge-sort selection: O(n log k) best and
 //!   worst case (Table 3 row "Merge Sort").
 //!
@@ -27,13 +31,15 @@ mod dheap;
 mod mergesel;
 mod neighbor;
 mod quickselect;
+mod reservoir;
 mod serialize;
 
 pub use binary_heap::BinaryMaxHeap;
 pub use dheap::{DHeap, FourHeap};
 pub use mergesel::{merge_partial_rows, merge_partial_tables, merge_select, merge_update};
 pub use neighbor::{Neighbor, NeighborTable};
-pub use quickselect::{quickselect_k_smallest, quickselect_update};
+pub use quickselect::{quickselect_k_smallest, quickselect_update, select_k_smallest};
+pub use reservoir::{Compacted, Reservoir};
 pub use serialize::{encoded_len_of, DecodeError};
 
 /// A uniform interface over the selection algorithms so they can be
