@@ -1,7 +1,7 @@
 //! Figure 6 — the 12-panel efficiency overview: GFLOPS vs dimension on a
 //! log grid, for m = n ∈ {2048, 4096, 8192} × k ∈ {16, 128, 512, 2048},
-//! GSKNN (Var#1 for k ≤ 512, Var#6 for k = 2048 — the paper's §3 rule)
-//! against the GEMM+heap reference.
+//! GSKNN (the default kernel, Var#1 at every k; the paper's §3 rule ran
+//! Var#6 at k = 2048) against the GEMM+heap reference.
 //!
 //! Paper: p = 10, theoretical peak 248 GFLOPS. Here single-core; shapes
 //! (growth with d, degradation with k, GSKNN's low-d advantage) are the
@@ -41,7 +41,7 @@ fn main() {
                 let q: Vec<usize> = (0..mn).collect();
                 let r: Vec<usize> = (mn..2 * mn).collect();
 
-                let mut exec = Gsknn::new(GsknnConfig::default()); // Auto = paper rule
+                let mut exec = Gsknn::new(GsknnConfig::default());
                 let t_gsknn = best_of(args.reps, || {
                     let t = exec.run(&x, &q, &r, k, DistanceKind::SqL2);
                     std::hint::black_box(t.len());
@@ -68,10 +68,7 @@ fn main() {
                 );
             }
             print_table(
-                &format!(
-                    "m = n = {mn}, k = {k} ({})",
-                    if k <= 512 { "Var#1" } else { "Var#6" }
-                ),
+                &format!("m = n = {mn}, k = {k} (Var#1)"),
                 &["d", "GSKNN", "ref", "speedup"],
                 &rows,
             );

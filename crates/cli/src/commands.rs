@@ -282,7 +282,11 @@ pub fn cmd_model(args: &ArgMap) -> Result<String, CliError> {
         .unwrap();
     }
     if let Some(thr) = model.threshold_k(m, n, d, 8192) {
-        writeln!(out, "predicted Var#1→Var#6 switch at k = {thr}").unwrap();
+        writeln!(
+            out,
+            "Figure 5's predicted Var#1→Var#6 switch at k = {thr} (the kernel runs Var#1 at every k)"
+        )
+        .unwrap();
     }
     Ok(out)
 }
@@ -331,7 +335,7 @@ inserted {} more in {insert_time:.2?}\ntable now covers {} points; \
 }
 
 /// `profile`: run a synthetic problem under the observability layer and
-/// report phase times, model-vs-measured drift, the variant verdict and
+/// report the configured kernel's phase times, model-vs-measured drift and
 /// scheduler telemetry. `--precision f32` profiles the single-precision
 /// path against the rescaled machine model. Writes the full report as
 /// JSON under `--outdir` (default `bench_out/`).
@@ -1607,7 +1611,7 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("profile: m=96 n=256 d=16 k=8 f64"), "{out}");
-        assert!(out.contains("variant: model picks"), "{out}");
+        assert!(out.contains("total (Var#1): measured"), "{out}");
         assert!(out.contains("makespan: predicted"), "{out}");
         let path = dir.join("profile_m96_n256_d16_k8_f64.json");
         let text = std::fs::read_to_string(&path).unwrap();

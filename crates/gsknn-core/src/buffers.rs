@@ -17,7 +17,7 @@ serde::impl_struct_serde!(KernelStats {
     compactions,
 });
 
-/// Observability counters collected by the serial driver (zeroed at the
+/// Observability counters collected by the driver (zeroed at the
 /// start of each [`crate::Gsknn::run`]/`update`). They quantify how often
 /// the §2.4 vectorized root filter achieves the heap's O(n) best case —
 /// the mechanism GSKNN's small-`k` advantage rests on.
@@ -80,23 +80,15 @@ impl KernelStats {
     }
 }
 
-/// Scratch buffers for one kernel execution context (one thread),
-/// parameterized by the element type the kernel runs in.
+/// The scratch of whoever walks a query chunk of the 4th loop: the
+/// workspace's own at `p = 1`, one per rayon worker above (§2.5: "each
+/// processor will create a private Qc").
 #[derive(Default, Debug)]
-pub struct GsknnWorkspace<T: GsknnScalar = f64> {
+pub struct ChunkScratch<T: GsknnScalar = f64> {
     /// Packed query panel `Qc` (`⌈mcb/MR⌉·MR × dcb`, Z-shape).
     pub q_pack: AlignedBuf<T>,
-    /// Packed reference panel `Rc` (`⌈ncb/NR⌉·NR × dcb`, Z-shape).
-    pub r_pack: AlignedBuf<T>,
     /// Gathered query squared norms `Qc2` (`mcb`, MR-padded).
     pub q2_pack: AlignedBuf<T>,
-    /// Gathered reference squared norms `R2c` (`ncb`, NR-padded).
-    pub r2_pack: AlignedBuf<T>,
-    /// Rank-dc accumulation buffer `Cc` (only used when `d > dc`, or by
-    /// the buffered variants Var#2/3/5/6 as their distance store).
-    pub cc: AlignedBuf<T>,
-    /// Distance strip for buffered selection (Var#2/Var#3).
-    pub dist: AlignedBuf<T>,
     /// Pruning bound of each query row of the current `ic` block, read by
     /// the macro-kernel's in-register filter (at most `mc` elements).
     pub thr: Vec<T>,
@@ -104,7 +96,22 @@ pub struct GsknnWorkspace<T: GsknnScalar = f64> {
     /// per row of the block plus one `2k` scratch row; empty until a
     /// macro-kernel sweep needs it).
     pub reservoir: Reservoir<T>,
-    /// Counters for the most recent serial run.
+}
+
+/// Scratch buffers for one kernel execution context (one thread),
+/// parameterized by the element type the kernel runs in.
+#[derive(Default, Debug)]
+pub struct GsknnWorkspace<T: GsknnScalar = f64> {
+    /// Query-side scratch of the 4th loop when it runs in place (`p = 1`).
+    pub chunk: ChunkScratch<T>,
+    /// Packed reference panel `Rc` (`⌈ncb/NR⌉·NR × dcb`, Z-shape).
+    pub r_pack: AlignedBuf<T>,
+    /// Gathered reference squared norms `R2c` (`ncb`, NR-padded).
+    pub r2_pack: AlignedBuf<T>,
+    /// Rank-dc accumulation buffer `Cc` (only used when `d > dc`, or by
+    /// the buffered variants Var#2/3/5/6 as their distance store).
+    pub cc: AlignedBuf<T>,
+    /// Counters for the most recent run.
     pub stats: KernelStats,
     /// Phase timings for the most recent run (zero-sized no-op unless
     /// the `obs` feature is enabled).
@@ -125,9 +132,9 @@ mod tests {
     #[test]
     fn buffers_grow_independently() {
         let mut ws: GsknnWorkspace = GsknnWorkspace::new();
-        ws.q_pack.resize(128);
+        ws.chunk.q_pack.resize(128);
         ws.cc.resize(1024);
-        assert_eq!(ws.q_pack.len(), 128);
+        assert_eq!(ws.chunk.q_pack.len(), 128);
         assert_eq!(ws.cc.len(), 1024);
         assert_eq!(ws.r_pack.len(), 0);
     }

@@ -3,12 +3,11 @@
 //! need, where the kNN kernel is invoked per leaf/bucket with fresh index
 //! lists and the per-query neighbor lists persist across calls.
 
-use crate::buffers::GsknnWorkspace;
+use crate::buffers::{GsknnWorkspace, KernelStats};
 use crate::microkernel::FusedScalar;
-use crate::model::{MachineParams, Model, ProblemSize};
 use crate::obs::{Phase, PhaseSet};
 use crate::params::Variant;
-use crate::variants::{run_serial, DriverArgs, SelHeap};
+use crate::variants::{run_nest, DriverArgs, SelHeap};
 use dataset::{DistanceKind, PointSet};
 use gemm_kernel::GemmParams;
 use gsknn_scalar::GsknnScalar;
@@ -64,23 +63,18 @@ impl<T: FusedScalar> BatchScratch<T> {
 pub struct GsknnConfig {
     /// Cache-blocking parameters (defaults to the paper's Ivy Bridge set).
     pub params: GemmParams,
-    /// Selection placement; [`Variant::Auto`] is Var#1 unless
-    /// [`GsknnConfig::model_switch`] says otherwise.
+    /// Selection placement; Var#1 by default, at every problem size.
+    /// (The paper's §3 switches to Var#6 above `k = 512`; with reservoir
+    /// selection Var#1 measures faster through `k = 2048` —
+    /// `bench_out/fig5.txt` — so nothing switches at run time.)
     pub variant: Variant,
-    /// With `Some(machine)`, `Auto` uses the §2.6 performance model to
-    /// pick the faster of Var#1/Var#6 for each `(m, n, d, k)`; with
-    /// `None` it is Var#1 at every `k`. (The paper's §3 switches to
-    /// Var#6 above `k = 512`; with reservoir selection Var#1 measures
-    /// faster through `k = 2048` — `bench_out/fig5.txt`.)
-    pub model_switch: Option<MachineParams>,
 }
 
 impl Default for GsknnConfig {
     fn default() -> Self {
         GsknnConfig {
             params: GemmParams::ivy_bridge(),
-            variant: Variant::Auto,
-            model_switch: None,
+            variant: Variant::Var1,
         }
     }
 }
@@ -117,7 +111,8 @@ impl GsknnConfig {
 /// single-precision micro-kernels on the same nest).
 ///
 /// See the crate-level example. Not `Sync`: create one per thread (the
-/// parallel schemes in [`crate::parallel`] and [`crate::scheduler`] do).
+/// task-parallel scheduler in [`crate::scheduler`] does; the data-parallel
+/// update gives each worker scratch of its own, [`crate::parallel`]).
 #[derive(Default, Debug)]
 pub struct Gsknn<T: FusedScalar = f64> {
     cfg: GsknnConfig,
@@ -145,20 +140,10 @@ impl<T: FusedScalar> Gsknn<T> {
         &self.cfg
     }
 
-    /// Resolve `Auto` for a concrete problem size.
-    pub fn effective_variant(&self, m: usize, n: usize, d: usize, k: usize) -> Variant {
-        match self.cfg.variant {
-            Variant::Auto => match &self.cfg.model_switch {
-                Some(machine) => {
-                    // scale the machine constants to this element type
-                    // (f32: double flop throughput, half stream traffic)
-                    let model = Model::new(machine.for_scalar::<T>());
-                    model.choose_variant(&ProblemSize { m, n, d, k })
-                }
-                None => Variant::Var1,
-            },
-            v => v,
-        }
+    /// The variant a call of shape `(m, n, d, k)` runs: the configured
+    /// one, whatever the shape.
+    pub fn effective_variant(&self, _m: usize, _n: usize, _d: usize, _k: usize) -> Variant {
+        self.cfg.variant
     }
 
     /// Solve one kNN kernel: the `k` nearest references (by `kind`) for
@@ -238,15 +223,6 @@ impl<T: FusedScalar> Gsknn<T> {
         table: &mut NeighborTable<T>,
         scratch: &mut BatchScratch<T>,
     ) {
-        let k = table.k();
-        assert_eq!(table.len(), q_idx.len(), "one table row per query");
-        assert_eq!(xq.dim(), xr.dim(), "query/reference dimension mismatch");
-        validate_indices(xq, q_idx, &[]);
-        validate_indices(xr, &[], r_idx);
-        let variant = self.effective_variant(q_idx.len(), r_idx.len(), xq.dim(), k);
-        // §2.4: Var#1 pairs with the binary heap (small k), Var#6 with the
-        // padded 4-heap (large k).
-        let heaps = scratch.seed(table, variant == Variant::Var6);
         let args = DriverArgs {
             xq,
             xr,
@@ -254,15 +230,9 @@ impl<T: FusedScalar> Gsknn<T> {
             r_idx,
             kind,
             params: self.cfg.params,
-            variant,
+            variant: self.cfg.variant,
         };
-        self.ws.stats = crate::buffers::KernelStats::default();
-        self.ws.phases.reset();
-        run_serial(&args, heaps, &mut self.ws);
-        self.ws
-            .phases
-            .time(Phase::Writeback, || scratch.write_back(table));
-        self.phase_accum.merge(&self.ws.phases);
+        self.update_nest(&args, table, scratch, 1)
     }
 
     /// Observability counters from the most recent `run`/`update` call
@@ -330,32 +300,47 @@ impl<T: FusedScalar> Gsknn<T> {
         p: usize,
         scratch: &mut BatchScratch<T>,
     ) {
-        let k = table.k();
-        assert_eq!(table.len(), q_idx.len(), "one table row per query");
-        validate_indices(x, q_idx, r_idx);
-        let variant = self.effective_variant(q_idx.len(), r_idx.len(), x.dim(), k);
-        let heaps = scratch.seed(table, variant == Variant::Var6);
-        let args = DriverArgs::same(x, q_idx, r_idx, kind, self.cfg.params, variant);
-        let (stats, phases) = crate::parallel::run_data_parallel(&args, heaps, p.max(1));
-        self.ws.stats = stats;
-        self.ws.phases = phases;
+        let args = DriverArgs::same(x, q_idx, r_idx, kind, self.cfg.params, self.cfg.variant);
+        self.update_nest(&args, table, scratch, p)
+    }
+
+    /// Every update: seed the heaps from `table`, run the nest with `p`
+    /// query chunks in flight, write the rows back.
+    fn update_nest(
+        &mut self,
+        args: &DriverArgs<'_, T>,
+        table: &mut NeighborTable<T>,
+        scratch: &mut BatchScratch<T>,
+        p: usize,
+    ) {
+        assert_eq!(table.len(), args.q_idx.len(), "one table row per query");
+        assert_eq!(
+            args.xq.dim(),
+            args.xr.dim(),
+            "query/reference dimension mismatch"
+        );
+        let in_bounds = |x: &PointSet<T>, idx: &[usize]| idx.iter().all(|&i| i < x.len());
+        assert!(
+            in_bounds(args.xq, args.q_idx),
+            "query index out of bounds (N = {})",
+            args.xq.len()
+        );
+        assert!(
+            in_bounds(args.xr, args.r_idx),
+            "reference index out of bounds (N = {})",
+            args.xr.len()
+        );
+        // §2.4: Var#1 pairs with the binary heap (small k), Var#6 with the
+        // padded 4-heap (large k).
+        let heaps = scratch.seed(table, args.variant == Variant::Var6);
+        self.ws.stats = KernelStats::default();
+        self.ws.phases.reset();
+        run_nest(args, heaps, &mut self.ws, p);
         self.ws
             .phases
             .time(Phase::Writeback, || scratch.write_back(table));
         self.phase_accum.merge(&self.ws.phases);
     }
-}
-
-pub(crate) fn validate_indices<T: GsknnScalar>(x: &PointSet<T>, q_idx: &[usize], r_idx: &[usize]) {
-    let n = x.len();
-    assert!(
-        q_idx.iter().all(|&i| i < n),
-        "query index out of bounds (N = {n})"
-    );
-    assert!(
-        r_idx.iter().all(|&j| j < n),
-        "reference index out of bounds (N = {n})"
-    );
 }
 
 #[cfg(test)]
@@ -377,34 +362,6 @@ mod tests {
             // self-distance (clamped at 0 from below only)
             assert!(t.row(i)[0].dist < 1e-12);
         }
-    }
-
-    #[test]
-    fn auto_rule_of_thumb_matches_paper() {
-        // ... up to k = 512. Above, the paper's §3 switches to Var#6; the
-        // reservoir keeps Var#1 ahead there too (bench_out/fig5.txt), so
-        // Auto no longer switches on k.
-        let exec: Gsknn = Gsknn::new(GsknnConfig::default());
-        for k in [16, 512, 2048] {
-            assert_eq!(exec.effective_variant(8192, 8192, 64, k), Variant::Var1);
-        }
-        // the model switch remains an explicit opt-in
-        let exec: Gsknn = Gsknn::new(GsknnConfig {
-            model_switch: Some(MachineParams::ivy_bridge_1core()),
-            ..Default::default()
-        });
-        assert_eq!(exec.effective_variant(8192, 8192, 64, 16), Variant::Var1);
-        assert_eq!(exec.effective_variant(8192, 8192, 64, 4096), Variant::Var6);
-    }
-
-    #[test]
-    fn explicit_variant_is_respected() {
-        let cfg = GsknnConfig {
-            variant: Variant::Var3,
-            ..Default::default()
-        };
-        let exec: Gsknn = Gsknn::new(cfg);
-        assert_eq!(exec.effective_variant(10, 10, 4, 2048), Variant::Var3);
     }
 
     #[test]
@@ -439,8 +396,8 @@ mod tests {
                 }
             }
         }
-        check::<f64>(8, Variant::Auto); // Var#1 / binary heap
-        check::<f32>(8, Variant::Auto);
+        check::<f64>(8, Variant::Var1); // binary heap
+        check::<f32>(8, Variant::Var1);
         check::<f64>(600, Variant::Var6); // 4-heap, k > n
     }
 
@@ -497,28 +454,18 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_matches_run() {
-        let x = uniform(400, 9, 47);
-        let q: Vec<usize> = (0..120).collect();
-        let r: Vec<usize> = (0..400).collect();
-        let mut exec = Gsknn::new(GsknnConfig::default());
-        let serial = exec.run(&x, &q, &r, 7, DistanceKind::SqL2);
-        let par = exec.run_parallel(&x, &q, &r, 7, DistanceKind::SqL2, 4);
-        for i in 0..120 {
-            assert_eq!(serial.row(i), par.row(i), "row {i}");
-        }
-    }
-
-    #[test]
     fn parallel_run_aggregates_worker_stats() {
         let x = uniform(400, 9, 47);
         let q: Vec<usize> = (0..120).collect();
         let r: Vec<usize> = (0..400).collect();
         let mut exec = Gsknn::new(GsknnConfig::default());
-        let _ = exec.run(&x, &q, &r, 7, DistanceKind::SqL2);
+        let rows = exec.run(&x, &q, &r, 7, DistanceKind::SqL2);
         let serial = exec.last_stats();
-        let _ = exec.run_parallel(&x, &q, &r, 7, DistanceKind::SqL2, 4);
+        let par_rows = exec.run_parallel(&x, &q, &r, 7, DistanceKind::SqL2, 4);
         let par = exec.last_stats();
+        for i in 0..q.len() {
+            assert_eq!(rows.row(i), par_rows.row(i), "row {i}");
+        }
         // Each query sees the same candidate stream regardless of how the
         // 4th loop is chunked, so the per-query counters must agree (tile
         // counts may differ: chunk fringes pad to MR independently).
@@ -627,19 +574,6 @@ mod tests {
             assert_eq!(t.row(i)[0].idx, qi as u32, "query {qi}");
             // single precision leaves more expansion rounding than f64
             assert!(t.row(i)[0].dist < 1e-3);
-        }
-    }
-
-    #[test]
-    fn f32_run_parallel_matches_run() {
-        let x: PointSet<f32> = uniform(300, 9, 47).cast();
-        let q: Vec<usize> = (0..96).collect();
-        let r: Vec<usize> = (0..300).collect();
-        let mut exec: Gsknn<f32> = Gsknn::new(GsknnConfig::default());
-        let serial = exec.run(&x, &q, &r, 7, DistanceKind::SqL2);
-        let par = exec.run_parallel(&x, &q, &r, 7, DistanceKind::SqL2, 4);
-        for i in 0..96 {
-            assert_eq!(serial.row(i), par.row(i), "row {i}");
         }
     }
 

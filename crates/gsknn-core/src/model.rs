@@ -1,8 +1,9 @@
 //! The §2.6 performance model: predicted runtime `T = Tf + To + Tm` and
 //! floating-point efficiency for GSKNN Var#1, Var#6 and the GEMM-based
-//! Algorithm 2.1, used to (a) explain measured results (Figures 4/5),
-//! (b) pick between Var#1 and Var#6 without exhaustive tuning, and
-//! (c) estimate task runtimes for the task-parallel scheduler (§2.5).
+//! Algorithm 2.1, used to (a) explain measured results (Figures 4/5,
+//! with the paper's Var#1→Var#6 switch-over line, [`Model::threshold_k`]),
+//! and (b) price the kernel that runs — Var#1 — for the task-parallel
+//! scheduler (§2.5), the serving coalescer and the profiler.
 //!
 //! Terms (paper's notation):
 //!
@@ -34,7 +35,6 @@
 //!   2τb·m(k + ε·k·log₂k)` — Eq. (5): the explicit collection of `Q`, `R`
 //!   and the write+read of the full `C`, with a binary heap.
 
-use crate::params::Variant;
 use gemm_kernel::GemmParams;
 
 /// Machine constants of the model.
@@ -125,12 +125,15 @@ pub enum Approach {
 /// blocking parameters of the kernel under prediction.
 ///
 /// ```
-/// use gsknn_core::{MachineParams, Model, ProblemSize, Variant};
+/// use gsknn_core::model::Approach;
+/// use gsknn_core::{MachineParams, Model, ProblemSize};
 /// let model = Model::new(MachineParams::ivy_bridge_1core());
-/// let small_k = ProblemSize { m: 8192, n: 8192, d: 64, k: 16 };
-/// assert_eq!(model.choose_variant(&small_k), Variant::Var1);
-/// let large_k = ProblemSize { k: 4096, ..small_k };
-/// assert_eq!(model.choose_variant(&large_k), Variant::Var6);
+/// let p = ProblemSize { m: 8192, n: 8192, d: 64, k: 16 };
+/// // the fused kernel never stores C; GEMM + selection does
+/// assert!(model.predict(&p, Approach::Var1) < model.predict(&p, Approach::Gemm));
+/// // Figure 5's model line: where the paper would switch to Var#6
+/// let k = model.threshold_k(8192, 8192, 64, 8192).expect("a switch-over");
+/// assert!(k > 16);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct Model {
@@ -231,31 +234,16 @@ impl Model {
         self.flops(p) / self.predict(p, which) / 1e9
     }
 
-    /// Pick the faster of Var#1/Var#6 (§2.6 "Switching between
-    /// variants").
-    pub fn choose_variant(&self, p: &ProblemSize) -> Variant {
-        if self.predict(p, Approach::Var1) <= self.predict(p, Approach::Var6) {
-            Variant::Var1
-        } else {
-            Variant::Var6
-        }
-    }
-
     /// The predicted Var#1→Var#6 switch-over `k` for fixed `m, n, d`
-    /// (the light-blue dotted threshold of Figure 5), or `None` if Var#1
-    /// wins through `k_max`.
+    /// (the light-blue dotted threshold of Figure 5, §2.6 "Switching
+    /// between variants"), or `None` if Var#1 wins through `k_max`. The
+    /// paper's prediction, drawn by `fig5`: the kernel itself runs Var#1
+    /// at every `k`.
     pub fn threshold_k(&self, m: usize, n: usize, d: usize, k_max: usize) -> Option<usize> {
         (1..=k_max).find(|&k| {
             let p = ProblemSize { m, n, d, k };
             self.predict(&p, Approach::Var6) < self.predict(&p, Approach::Var1)
         })
-    }
-
-    /// Runtime estimate for the task-parallel scheduler (§2.5): the
-    /// predicted time of the auto-selected variant.
-    pub fn estimate_runtime(&self, p: &ProblemSize) -> f64 {
-        self.predict(p, Approach::Var1)
-            .min(self.predict(p, Approach::Var6))
     }
 
     /// Itemized slow-memory terms — the rows of the paper's Table 4 —
@@ -411,13 +399,16 @@ mod tests {
         assert!(ratio_hi < 1.3, "high-d speedup should be small: {ratio_hi}");
     }
 
+    /// Does the model predict Var#1 at least as fast as Var#6?
+    fn var1_predicted(model: &Model, ps: &ProblemSize) -> bool {
+        model.predict(ps, Approach::Var1) <= model.predict(ps, Approach::Var6)
+    }
+
     #[test]
     fn var1_wins_small_k_var6_wins_large_k() {
         let model = model();
-        let small = p(8192, 8192, 64, 16);
-        assert_eq!(model.choose_variant(&small), Variant::Var1);
-        let large = p(8192, 8192, 64, 4096);
-        assert_eq!(model.choose_variant(&large), Variant::Var6);
+        assert!(var1_predicted(&model, &p(8192, 8192, 64, 16)));
+        assert!(!var1_predicted(&model, &p(8192, 8192, 64, 4096)));
     }
 
     #[test]
@@ -425,12 +416,9 @@ mod tests {
         let model = model();
         let thr = model.threshold_k(8192, 8192, 64, 8192).expect("threshold");
         assert!(thr > 16, "threshold too small: {thr}");
-        // below the threshold Var#1 is chosen, at it Var#6
-        assert_eq!(
-            model.choose_variant(&p(8192, 8192, 64, thr - 1)),
-            Variant::Var1
-        );
-        assert_eq!(model.choose_variant(&p(8192, 8192, 64, thr)), Variant::Var6);
+        // below the threshold the model predicts Var#1, at it Var#6
+        assert!(var1_predicted(&model, &p(8192, 8192, 64, thr - 1)));
+        assert!(!var1_predicted(&model, &p(8192, 8192, 64, thr)));
     }
 
     #[test]
@@ -577,9 +565,10 @@ mod tests {
 
     #[test]
     fn estimate_runtime_scales_with_problem() {
+        // the LPT schedulers' task estimate: the predicted Var#1 time
         let model = model();
-        let t1 = model.estimate_runtime(&p(1024, 1024, 64, 16));
-        let t2 = model.estimate_runtime(&p(2048, 2048, 64, 16));
+        let t1 = model.predict(&p(1024, 1024, 64, 16), Approach::Var1);
+        let t2 = model.predict(&p(2048, 2048, 64, 16), Approach::Var1);
         assert!(t2 > 3.0 * t1, "quadratic growth expected: {t1} {t2}");
     }
 }

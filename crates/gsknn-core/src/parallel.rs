@@ -6,34 +6,32 @@
 //! reference-side loops (3rd/6th) would race on the per-query heaps —
 //! the paper's footnote 5 — so we never do.
 //!
+//! This module owns only how the 4th loop is walked ([`QueryWalk`]); the
+//! nest around it is [`crate::variants::run_nest`], one driver for every
+//! `p`. At `p = 1` the chunks run in order on the caller's workspace, no
+//! thread involved; above, the per-worker `Qc`/`Qc2`/pruning-bound/
+//! reservoir scratch is created once per worker via `map_init` and reused
+//! across every chunk that worker processes — the per-chunk closure itself
+//! never allocates (the buffers only `resize`, a no-op after the first
+//! chunk).
+//!
 //! Load balance: when `m` is not a multiple of `mc × p` the fixed `mc`
 //! leaves stragglers, so `mc` is re-derived per problem
 //! ([`dynamic_mc`]) — the paper's "dynamically deciding mc".
-//!
-//! Allocation discipline: the per-worker `Qc`/`Qc2`/pruning-bound/reservoir
-//! scratch buffers are created once per worker via `map_init` and reused across
-//! every chunk that worker processes — the 4th-loop closure itself never
-//! allocates (the buffers only `resize`, which is a no-op after the first
-//! chunk).
 
-use crate::buffers::KernelStats;
+use crate::buffers::{ChunkScratch, KernelStats};
 use crate::microkernel::{FusedScalar, MR};
-use crate::obs::{Phase, PhaseSet};
-use crate::packing::{pack_r_panel, pack_sqnorms};
-use crate::params::Variant;
-use crate::variants::{
-    cc_geometry, feed_degenerate, ic_block_body, interior, select_block, DriverArgs, RefBlock,
-    SelHeap,
-};
-use gemm_kernel::{AlignedBuf, GemmParams};
-use knn_select::Reservoir;
+use crate::obs::PhaseSet;
+use crate::variants::SelHeap;
+use gsknn_scalar::GsknnScalar;
 use rayon::prelude::*;
 
 /// Pick an effective `mc` so the 4th loop splits into a whole number of
 /// near-equal chunks per worker: smallest multiple of `MR` such that the
 /// chunk count is a multiple of `p` (when `m` is large enough) and no
 /// chunk exceeds the cache-derived `mc_base`. (`MR = 8` for both element
-/// types, so this stays type-free.)
+/// types, so this stays type-free.) At `p = 1` the chunks are the ones a
+/// fixed `mc_base` cuts whenever `m ≤ mc_base` or `mc_base` divides `m`.
 pub fn dynamic_mc(m: usize, p: usize, mc_base: usize) -> usize {
     assert!(p > 0 && mc_base >= MR);
     if m == 0 {
@@ -44,234 +42,78 @@ pub fn dynamic_mc(m: usize, p: usize, mc_base: usize) -> usize {
     (m.div_ceil(chunks)).div_ceil(MR) * MR
 }
 
-/// Run the kernel with the data-parallel 4th-loop scheme on the current
-/// rayon thread pool, using up to `p` query chunks per sweep. Returns the
-/// observability counters and phase times merged across all workers
-/// (phase times sum worker CPU time, so they can exceed wall time).
-///
-/// Exactly equivalent to [`crate::variants::run_serial`] (bit-identical
-/// heaps: workers own disjoint query ranges, so no merge is needed).
-pub fn run_data_parallel<T: FusedScalar>(
-    args: &DriverArgs<'_, T>,
-    heaps: &mut [SelHeap<T>],
-    p: usize,
-) -> (KernelStats, PhaseSet) {
-    let nr = T::NR;
-    let m = args.q_idx.len();
-    let n = args.r_idx.len();
-    let d = args.xq.dim();
-    assert_eq!(heaps.len(), m, "one heap per query");
-    assert!(
-        args.variant != Variant::Auto,
-        "driver needs a concrete variant"
-    );
-    args.params
-        .validate_for::<T>()
-        .expect("invalid blocking parameters");
-    let mut total_stats = KernelStats::default();
-    let mut total_phases = PhaseSet::new();
-    if m == 0 || n == 0 || d == 0 {
-        feed_degenerate(args, heaps);
-        return (total_stats, total_phases);
-    }
+/// One query chunk of the 4th loop: its first query, its heaps and — when
+/// the nest keeps a `Cc` — its rows of `Cc` (starting at row `ic`).
+pub(crate) struct Chunk<'a, T: GsknnScalar> {
+    /// Global index of the chunk's first query.
+    pub ic: usize,
+    /// The chunk's heaps, one per query.
+    pub heaps: &'a mut [SelHeap<T>],
+    /// The chunk's `Cc` rows, if the nest keeps a `Cc`.
+    pub cc_rows: Option<&'a mut [T]>,
+}
 
-    let GemmParams { dc, nc, .. } = args.params;
-    let mc = dynamic_mc(m, p.max(1), args.params.mc);
-    let variant = args.variant;
-    let geo = cc_geometry(args);
-    let mut cc = AlignedBuf::new();
-    if geo.need_cc {
-        cc.resize(geo.pad_m * geo.ldcc);
-    }
-    let mut r_pack = AlignedBuf::new();
-    let mut r2_pack = AlignedBuf::new();
-    // read here, not by the workers: a test's override is per thread
-    let interior = interior();
+/// How the 4th loop is walked: `p` workers over `mc`-row query chunks,
+/// counters and phase times folding into `stats` / `phases`.
+pub(crate) struct QueryWalk<'w, T: FusedScalar> {
+    /// Query chunks in flight (`1`: in place on `scratch`, no thread).
+    pub p: usize,
+    /// Rows per chunk (a multiple of `MR`; [`dynamic_mc`]).
+    pub mc: usize,
+    /// Row stride of `Cc`.
+    pub ldcc: usize,
+    /// The query-side scratch the `p = 1` walk uses.
+    pub scratch: &'w mut ChunkScratch<T>,
+    /// Where the walk's counters accumulate.
+    pub stats: &'w mut KernelStats,
+    /// Where the walk's phase times accumulate (with `p > 1` they sum
+    /// worker CPU time, so they can exceed wall time).
+    pub phases: &'w mut PhaseSet,
+}
 
-    for jc in (0..n).step_by(nc) {
-        let ncb = (n - jc).min(nc);
-        let col0 = if variant == Variant::Var6 { jc } else { 0 };
-
-        for pc in (0..d).step_by(dc) {
-            let dcb = (d - pc).min(dc);
-            let first = pc == 0;
-            let last = pc + dcb >= d;
-
-            let nblocks = ncb.div_ceil(nr);
-            gsknn_faults::fail_point!(gsknn_faults::FaultPoint::PackR);
-            total_phases.time(Phase::PackR, || {
-                r_pack.resize(nblocks * nr * dcb);
-                pack_r_panel(args.xr, args.r_idx, jc, ncb, pc, dcb, r_pack.as_mut_slice());
-                if last {
-                    r2_pack.resize(nblocks * nr);
-                    pack_sqnorms(args.xr, args.r_idx, jc, ncb, nr, r2_pack.as_mut_slice());
-                }
-            });
-            let rb = RefBlock {
-                r_pack: r_pack.as_slice(),
-                r2_pack: r2_pack.as_slice(),
-                jc,
-                ncb,
-                dcb,
-                first,
-                last,
-                col0,
-                pc,
-            };
-
-            // Parallel 4th loop: zip disjoint query/heap/Cc chunks. Each
-            // worker builds its Qc/Qc2 scratch once (`map_init`) and
-            // reuses it for every chunk it processes; the per-chunk
-            // closure is allocation-free. Counters/phase times come back
-            // in chunk order and fold into the run totals.
-            // per worker: Qc, Qc2, pruning bounds, reservoir
-            let worker_scratch = || {
-                (
-                    AlignedBuf::new(),
-                    AlignedBuf::new(),
-                    Vec::new(),
-                    Reservoir::new(),
-                )
-            };
-            let heap_chunks = heaps.par_chunks_mut(mc);
-            let nchunks = m.div_ceil(mc);
-            let worker_obs: Vec<(KernelStats, PhaseSet)> = if geo.need_cc {
-                cc.as_mut_slice()
-                    .par_chunks_mut(mc * geo.ldcc)
-                    .zip(heap_chunks)
-                    .enumerate()
-                    .map_init(
-                        worker_scratch,
-                        |(q_pack, q2_pack, thr, reservoir), (ci, (cc_rows, heap_chunk))| {
-                            let ic = ci * mc;
-                            let mcb = (m - ic).min(mc);
-                            let mut stats = KernelStats::default();
-                            let mut phases = PhaseSet::new();
-                            ic_block_body(
-                                args,
-                                ic,
-                                mcb,
-                                &rb,
-                                geo.ldcc,
-                                interior,
-                                q_pack,
-                                q2_pack,
-                                thr,
-                                reservoir,
-                                Some(cc_rows),
-                                heap_chunk,
-                                &mut stats,
-                                &mut phases,
-                            );
-                            (stats, phases)
-                        },
-                    )
-                    .collect()
-            } else {
-                heap_chunks
-                    .enumerate()
-                    .map_init(
-                        worker_scratch,
-                        |(q_pack, q2_pack, thr, reservoir), (ci, heap_chunk)| {
-                            let ic = ci * mc;
-                            let mcb = (m - ic).min(mc);
-                            let mut stats = KernelStats::default();
-                            let mut phases = PhaseSet::new();
-                            ic_block_body(
-                                args,
-                                ic,
-                                mcb,
-                                &rb,
-                                geo.ldcc,
-                                interior,
-                                q_pack,
-                                q2_pack,
-                                thr,
-                                reservoir,
-                                None,
-                                heap_chunk,
-                                &mut stats,
-                                &mut phases,
-                            );
-                            (stats, phases)
-                        },
-                    )
-                    .collect()
-            };
-            for (stats, phases) in &worker_obs {
-                total_stats.merge(stats);
-                total_phases.merge(phases);
+impl<T: FusedScalar> QueryWalk<'_, T> {
+    /// Split `heaps` — and `cc`, `ldcc` elements per row — into chunks of
+    /// `mc` queries and run `body` on each. Workers own disjoint query
+    /// ranges, so every `p` leaves the same heaps.
+    pub fn for_each_chunk<F>(&mut self, heaps: &mut [SelHeap<T>], cc: Option<&mut [T]>, body: F)
+    where
+        F: Fn(Chunk<'_, T>, &mut ChunkScratch<T>, &mut KernelStats, &mut PhaseSet) + Sync,
+    {
+        let mc = self.mc;
+        let mut cc_chunks = cc.map(|cc| cc.chunks_mut(mc * self.ldcc));
+        let chunks = heaps.chunks_mut(mc).enumerate().map(|(ci, heaps)| Chunk {
+            ic: ci * mc,
+            heaps,
+            cc_rows: cc_chunks
+                .as_mut()
+                .map(|c| c.next().expect("one Cc chunk per query chunk")),
+        });
+        if self.p == 1 {
+            for chunk in chunks {
+                body(chunk, self.scratch, self.stats, self.phases);
             }
-            debug_assert_eq!(nchunks, m.div_ceil(mc));
+            return;
         }
-        // Var#5: parallel per-query selection over this jc block
-        if variant == Variant::Var5 {
-            let cc_ref = cc.as_slice();
-            let worker_obs: Vec<(KernelStats, PhaseSet)> = heaps
-                .par_iter_mut()
-                .enumerate()
-                .map(|(i, heap)| {
-                    let mut stats = KernelStats::default();
-                    let mut phases = PhaseSet::new();
-                    phases.time(Phase::Select, || {
-                        select_block(
-                            cc_ref,
-                            geo.ldcc,
-                            i..i + 1,
-                            col0..col0 + ncb,
-                            jc,
-                            args.r_idx,
-                            std::slice::from_mut(heap),
-                            &mut stats,
-                        )
-                    });
-                    (stats, phases)
-                })
-                .collect();
-            for (stats, phases) in &worker_obs {
-                total_stats.merge(stats);
-                total_phases.merge(phases);
-            }
-        }
-    }
-    if variant == Variant::Var6 {
-        let cc_ref = cc.as_slice();
-        let worker_obs: Vec<(KernelStats, PhaseSet)> = heaps
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, heap)| {
+        let per_chunk: Vec<(KernelStats, PhaseSet)> = chunks
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map_init(ChunkScratch::default, |scratch, chunk| {
                 let mut stats = KernelStats::default();
                 let mut phases = PhaseSet::new();
-                phases.time(Phase::Select, || {
-                    select_block(
-                        cc_ref,
-                        geo.ldcc,
-                        i..i + 1,
-                        0..n,
-                        0,
-                        args.r_idx,
-                        std::slice::from_mut(heap),
-                        &mut stats,
-                    )
-                });
+                body(chunk, scratch, &mut stats, &mut phases);
                 (stats, phases)
             })
             .collect();
-        for (stats, phases) in &worker_obs {
-            total_stats.merge(stats);
-            total_phases.merge(phases);
+        for (stats, phases) in &per_chunk {
+            self.stats.merge(stats);
+            self.phases.merge(phases);
         }
     }
-    (total_stats, total_phases)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffers::GsknnWorkspace;
-    use crate::variants::run_serial;
-    use dataset::{uniform, DistanceKind, PointSet};
-    use knn_select::Neighbor;
 
     #[test]
     fn dynamic_mc_divides_work_evenly() {
@@ -296,87 +138,15 @@ mod tests {
         assert!(dynamic_mc(1, 1, MR) >= MR);
     }
 
-    fn sorted_rows(heaps: Vec<SelHeap>) -> Vec<Vec<Neighbor>> {
-        heaps.into_iter().map(|h| h.into_sorted_vec()).collect()
-    }
-
     #[test]
-    fn parallel_equals_serial_every_variant() {
-        let x = uniform(150, 12, 77);
-        let q_idx: Vec<usize> = (0..70).collect();
-        let r_idx: Vec<usize> = (0..150).collect();
-        for variant in Variant::ALL {
-            let args = DriverArgs::same(
-                &x,
-                &q_idx,
-                &r_idx,
-                DistanceKind::SqL2,
-                GemmParams::tiny(),
-                variant,
-            );
-            let mut serial: Vec<SelHeap> = (0..70).map(|_| SelHeap::new(5, false)).collect();
-            let mut ws = GsknnWorkspace::new();
-            run_serial(&args, &mut serial, &mut ws);
-            let mut par: Vec<SelHeap> = (0..70).map(|_| SelHeap::new(5, false)).collect();
-            run_data_parallel(&args, &mut par, 4);
-            for (i, (s, p)) in sorted_rows(serial)
-                .into_iter()
-                .zip(sorted_rows(par))
-                .enumerate()
-            {
-                assert_eq!(s, p, "{} row {i}", variant.name());
-            }
+    fn dynamic_mc_at_one_worker_cuts_the_fixed_chunks() {
+        // one chunk while m fits, mc_base-row chunks while mc_base divides m
+        for m in [1usize, 7, 8, 100, 104] {
+            assert_eq!(m.div_ceil(dynamic_mc(m, 1, 104)), 1, "m = {m}");
         }
-    }
-
-    #[test]
-    fn parallel_multipass_and_norms() {
-        let x = uniform(80, 30, 99); // d=30 > tiny dc=8: multipass
-        let q_idx: Vec<usize> = (10..60).collect();
-        let r_idx: Vec<usize> = (0..80).collect();
-        for kind in [DistanceKind::SqL2, DistanceKind::LInf] {
-            let args =
-                DriverArgs::same(&x, &q_idx, &r_idx, kind, GemmParams::tiny(), Variant::Var1);
-            let mut serial: Vec<SelHeap> = (0..50).map(|_| SelHeap::new(7, false)).collect();
-            let mut ws = GsknnWorkspace::new();
-            run_serial(&args, &mut serial, &mut ws);
-            let mut par: Vec<SelHeap> = (0..50).map(|_| SelHeap::new(7, false)).collect();
-            run_data_parallel(&args, &mut par, 3);
-            for (s, p) in sorted_rows(serial).into_iter().zip(sorted_rows(par)) {
-                assert_eq!(s, p, "{}", kind.name());
-            }
+        for m in [208, 4096 * 104] {
+            assert_eq!(dynamic_mc(m, 1, 104), 104, "m = {m}");
         }
-    }
-
-    #[test]
-    fn f32_parallel_equals_f32_serial() {
-        // bit-identical across schemes in f32 too: same chunk geometry,
-        // same kernels, disjoint heap ownership
-        let x: PointSet<f32> = uniform(150, 12, 77).cast();
-        let q_idx: Vec<usize> = (0..70).collect();
-        let r_idx: Vec<usize> = (0..150).collect();
-        for variant in [Variant::Var1, Variant::Var3, Variant::Var6] {
-            let args = DriverArgs::same(
-                &x,
-                &q_idx,
-                &r_idx,
-                DistanceKind::SqL2,
-                GemmParams::tiny_for::<f32>(),
-                variant,
-            );
-            let mut serial: Vec<SelHeap<f32>> = (0..70).map(|_| SelHeap::new(5, false)).collect();
-            let mut ws = GsknnWorkspace::new();
-            run_serial(&args, &mut serial, &mut ws);
-            let mut par: Vec<SelHeap<f32>> = (0..70).map(|_| SelHeap::new(5, false)).collect();
-            run_data_parallel(&args, &mut par, 4);
-            for (i, (s, p)) in serial.into_iter().zip(par).enumerate() {
-                assert_eq!(
-                    s.into_sorted_vec(),
-                    p.into_sorted_vec(),
-                    "{} row {i}",
-                    variant.name()
-                );
-            }
-        }
+        assert_eq!(dynamic_mc(4096, 1, 512), 512);
     }
 }

@@ -9,11 +9,17 @@ pub use gemm_kernel::GemmParams;
 /// selection. Var#4 (after the 4th loop) is *not viable* — the 5th loop
 /// blocks the `d` dimension, so distances are incomplete there — and is
 /// therefore not representable here.
+///
+/// Var#1 is the kernel [`crate::GsknnConfig`] runs by default and the one
+/// everything that prices the kernel (the §2.6 model's callers) assumes;
+/// the others are the paper's variants, kept for the `fig4`/`fig5`
+/// measurements. Nothing switches between them at run time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Selection inside the micro-kernel, per `MR×NR` tile, while the tile
-    /// is register/L1-hot. No distance write-back when `d ≤ dc`. The best
-    /// choice for small `k`.
+    /// is register/L1-hot. No distance write-back when `d ≤ dc`. The
+    /// paper's choice for small `k`; with reservoir selection, ahead of
+    /// the others at every `k` `fig5` sweeps.
     Var1,
     /// Selection after the 2nd loop: one `mc×NR` strip of final distances
     /// is buffered, then selected.
@@ -25,16 +31,13 @@ pub enum Variant {
     /// block (bounded memory, but heaps reload `n/nc` times).
     Var5,
     /// Selection after the 6th loop: the classical decomposition — the
-    /// whole `m×n` distance matrix is stored, then selected. The best
+    /// whole `m×n` distance matrix is stored, then selected. The paper's
     /// choice for large `k`.
     Var6,
-    /// Let the performance model pick between Var#1 and Var#6 from
-    /// `(d, k)` (§2.6 "Switching between variants").
-    Auto,
 }
 
 impl Variant {
-    /// All concrete (non-auto) variants, in paper order.
+    /// All variants, in paper order.
     pub const ALL: [Variant; 5] = [
         Variant::Var1,
         Variant::Var2,
@@ -51,7 +54,6 @@ impl Variant {
             Variant::Var3 => "Var#3",
             Variant::Var5 => "Var#5",
             Variant::Var6 => "Var#6",
-            Variant::Auto => "Auto",
         }
     }
 }
@@ -63,7 +65,6 @@ mod tests {
     #[test]
     fn names_are_paper_style() {
         assert_eq!(Variant::Var1.name(), "Var#1");
-        assert_eq!(Variant::Auto.name(), "Auto");
         assert_eq!(Variant::ALL.len(), 5);
     }
 }

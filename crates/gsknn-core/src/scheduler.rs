@@ -2,15 +2,15 @@
 //! leaves of a randomized KD-tree, the buckets of an LSH table — each too
 //! small to data-parallelize profitably, scheduled across `p` workers.
 //!
-//! The paper's scheme: estimate each kernel's runtime with the §2.6 model,
-//! sort descending, and greedily assign each task to the worker with the
+//! The paper's scheme: estimate each kernel's runtime with the §2.6 model
+//! (of Var#1, the variant that runs), sort descending, and greedily assign each task to the worker with the
 //! least accumulated time — LPT (longest processing time) list
 //! scheduling, Graham's classic 4/3-approximation on homogeneous workers.
 
 use crate::buffers::KernelStats;
 use crate::kernel::{Gsknn, GsknnConfig};
 use crate::microkernel::FusedScalar;
-use crate::model::{MachineParams, Model, ProblemSize};
+use crate::model::{Approach, MachineParams, Model, ProblemSize};
 use crate::obs::PhaseSet;
 use dataset::{DistanceKind, PointSet};
 use knn_select::NeighborTable;
@@ -223,12 +223,13 @@ pub fn run_task_parallel_traced<T: FusedScalar>(
     let costs: Vec<f64> = tasks
         .iter()
         .map(|t| {
-            model.estimate_runtime(&ProblemSize {
+            let size = ProblemSize {
                 m: t.q_idx.len(),
                 n: t.r_idx.len(),
                 d: x.dim(),
                 k: t.k,
-            })
+            };
+            model.predict(&size, Approach::Var1)
         })
         .collect();
     let schedule = lpt_schedule(&costs, p.max(1));
@@ -390,6 +391,39 @@ mod tests {
         assert!(tel.load_imbalance() >= 1.0 - 1e-12);
         // kernel counters were merged across workers
         assert!(tel.stats.tiles > 0);
+    }
+
+    #[test]
+    fn traced_costs_price_var1_at_large_k() {
+        // k = 512: the model's Var#6 is cheaper here, but Var#1 is what runs
+        let x = uniform(1024, 16, 5);
+        let tasks: Vec<KnnTask> = (0..2)
+            .map(|t| KnnTask {
+                q_idx: (t * 8..(t + 1) * 8).collect(),
+                r_idx: (0..1024).collect(),
+                k: 512,
+            })
+            .collect();
+        let machine = MachineParams::ivy_bridge_1core();
+        let (_, tel) = run_task_parallel_traced(
+            &x,
+            &tasks,
+            DistanceKind::SqL2,
+            &GsknnConfig::default(),
+            machine,
+            2,
+        );
+        let model = Model::new(machine);
+        let size = ProblemSize {
+            m: 8,
+            n: 1024,
+            d: 16,
+            k: 512,
+        };
+        assert!(model.predict(&size, Approach::Var6) < model.predict(&size, Approach::Var1));
+        for trace in &tel.tasks {
+            assert_eq!(trace.predicted, model.predict(&size, Approach::Var1));
+        }
     }
 
     #[test]

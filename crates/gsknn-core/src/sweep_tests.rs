@@ -1,5 +1,6 @@
 //! The path-equivalence property: one generator over precision, norm,
-//! `k`, row state, ties, blocking and driver; the heap-only per-tile path
+//! `k`, row state, ties and blocking, run through every selection
+//! placement and the driver at `p ∈ {1, 3}`; the heap-only per-tile path
 //! is the reference and every other path must return its rows bit for
 //! bit. Plus what a whole call promises about one query's bits across
 //! batch shapes, about block-local scratch and — with `obs` — about the
@@ -7,9 +8,8 @@
 
 use crate::buffers::{GsknnWorkspace, KernelStats};
 use crate::microkernel::FusedScalar;
-use crate::parallel::run_data_parallel;
 use crate::params::Variant;
-use crate::variants::{run_serial, DriverArgs, Interior, SelHeap, TEST_INTERIOR};
+use crate::variants::{run_nest, DriverArgs, Interior, SelHeap, TEST_INTERIOR};
 use crate::{Gsknn, GsknnConfig};
 use dataset::{uniform, DistanceKind, PointSet};
 use gemm_kernel::GemmParams;
@@ -125,17 +125,18 @@ fn paths_agree<T: FusedScalar>(c: Case) -> Result<(), String> {
     };
     let q_idx: Vec<usize> = (0..m).map(|i| (i * 5 + 1) % (m + n)).collect();
     let r_idx: Vec<usize> = (0..n).rev().map(|j| j + m / 2).collect();
-    let args = |r| DriverArgs::same(&x, &q_idx, r, c.kind, params, Variant::Var1);
+    let args = |v, r| DriverArgs::same(&x, &q_idx, r, c.kind, params, v);
 
     let mut heaps: Vec<SelHeap<T>> = (0..m).map(|_| SelHeap::new(k, false)).collect();
     if c.rows != Rows::Fresh {
         // an earlier call over some of the references, on the reference
         // path; the call under test offers those ids again
         with_interior(Interior::PerTile, || {
-            run_serial(
-                &args(&r_idx[..n.div_ceil(3)]),
+            run_nest(
+                &args(Variant::Var1, &r_idx[..n.div_ceil(3)]),
                 &mut heaps,
                 &mut GsknnWorkspace::new(),
+                1,
             )
         });
         let reseed = |i: usize| match c.rows {
@@ -154,23 +155,17 @@ fn paths_agree<T: FusedScalar>(c: Case) -> Result<(), String> {
             .collect();
     }
 
-    let run = |interior, p: Option<usize>| {
+    let run = |variant, interior, p| {
         with_interior(interior, || {
             let mut heaps = heaps.clone();
-            let stats = match p {
-                Some(p) => run_data_parallel(&args(&r_idx), &mut heaps, p).0,
-                None => {
-                    let mut ws = GsknnWorkspace::new();
-                    run_serial(&args(&r_idx), &mut heaps, &mut ws);
-                    ws.stats
-                }
-            };
-            (row_bits(heaps), stats)
+            let mut ws = GsknnWorkspace::new();
+            run_nest(&args(variant, &r_idx), &mut heaps, &mut ws, p);
+            (row_bits(heaps), ws.stats)
         })
     };
     let sweep = Interior::Sweep(crate::obs::STRIP_SAMPLE);
-    let (want, per_tile) = run(Interior::PerTile, None);
-    let (rows, stats) = run(sweep, None);
+    let (want, per_tile) = run(Variant::Var1, Interior::PerTile, 1);
+    let (rows, stats) = run(Variant::Var1, sweep, 1);
     prop_assert_eq!(&rows, &want);
     prop_assert_eq!(stats.tiles, per_tile.tiles);
     prop_assert_eq!(stats.tiles, (m.div_ceil(T::MR) * n.div_ceil(T::NR)) as u64);
@@ -183,10 +178,15 @@ fn paths_agree<T: FusedScalar>(c: Case) -> Result<(), String> {
     prop_assert!(stats.candidates_kept <= stats.candidates_offered);
     prop_assert_eq!(per_tile.compactions, 0);
     // the same call again: same rows, same counters
-    prop_assert_eq!(run(sweep, None), (rows, stats));
+    prop_assert_eq!(run(Variant::Var1, sweep, 1), (rows, stats));
+    // every p, and every selection placement: the buffered variants
+    // select from `Cc` after the 2nd, 3rd, 5th or 6th loop, offering each
+    // row its candidates in the same order
+    prop_assert_eq!(&run(Variant::Var1, Interior::PerTile, 3).0, &want);
     for p in [1, 3] {
-        prop_assert_eq!(&run(sweep, Some(p)).0, &want);
-        prop_assert_eq!(&run(Interior::PerTile, Some(p)).0, &want);
+        for v in Variant::ALL {
+            prop_assert_eq!(&run(v, sweep, p).0, &want, "{} at p = {}", v.name(), p);
+        }
     }
     Ok(())
 }
@@ -205,12 +205,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
-    fn interior_sweep_is_the_per_tile_path_bitwise_f64(case in cases()) {
+    fn every_path_is_the_per_tile_path_bitwise_f64(case in cases()) {
         paths_agree::<f64>(case)?;
     }
 
     #[test]
-    fn interior_sweep_is_the_per_tile_path_bitwise_f32(case in cases()) {
+    fn every_path_is_the_per_tile_path_bitwise_f32(case in cases()) {
         paths_agree::<f32>(case)?;
     }
 }
@@ -237,7 +237,7 @@ fn the_reservoir_compacts_where_the_property_says_it_does() {
     let args = DriverArgs::same(&x, &q_idx, &r_idx, case.kind, params, Variant::Var1);
     let mut heaps: Vec<SelHeap> = (0..case.m).map(|_| SelHeap::new(case.k, false)).collect();
     let mut ws = GsknnWorkspace::new();
-    run_serial(&args, &mut heaps, &mut ws);
+    run_nest(&args, &mut heaps, &mut ws, 1);
     // 120 candidates fill a 24-entry row at least thrice (24, 48, 96)
     assert!(ws.stats.compactions >= 3 * case.m as u64, "{:?}", ws.stats);
     assert!(ws.stats.candidates_kept >= (case.k * case.m) as u64);
@@ -262,7 +262,7 @@ fn the_model_counts_appends_and_compactions_as_the_kernel_does() {
     );
     let mut heaps: Vec<SelHeap> = (0..m).map(|_| SelHeap::new(k, false)).collect();
     let mut ws = GsknnWorkspace::new();
-    run_serial(&args, &mut heaps, &mut ws);
+    run_nest(&args, &mut heaps, &mut ws, 1);
     let (appends, compactions) = crate::Model::reservoir_row(n, k, 1.0);
     let per_row = |count: u64| count as f64 / m as f64;
     let offered = per_row(ws.stats.candidates_offered);
@@ -343,21 +343,25 @@ fn sweep_sizes_the_bound_cache_to_one_block() {
     let k = 4;
     let mut heaps: Vec<SelHeap> = (0..300).map(|_| SelHeap::new(k, false)).collect();
     let mut ws = GsknnWorkspace::new();
-    assert_eq!(ws.thr.capacity(), 0, "nothing allocated before a sweep");
-    assert_eq!(ws.reservoir.footprint(), 0);
-    run_serial(&args, &mut heaps, &mut ws);
-    assert!(!ws.thr.is_empty() && ws.thr.len() <= params.mc);
+    assert_eq!(
+        ws.chunk.thr.capacity(),
+        0,
+        "nothing allocated before a sweep"
+    );
+    assert_eq!(ws.chunk.reservoir.footprint(), 0);
+    run_nest(&args, &mut heaps, &mut ws, 1);
+    assert!(!ws.chunk.thr.is_empty() && ws.chunk.thr.len() <= params.mc);
     assert_ne!(ws.stats, KernelStats::default());
     // the reservoir follows the block (mc rows), not the 300 queries: k
     // appended pairs and a pad line per row, the 2k scratch row, and a
     // length word and a flag per row
-    assert!(ws.reservoir.rows() <= params.mc);
+    assert!(ws.chunk.reservoir.rows() <= params.mc);
     let pair = std::mem::size_of::<knn_select::Neighbor>();
     let bound = params.mc * ((k + 64 / pair) * pair + 5) + 2 * k * pair;
     assert!(
-        (1..=bound).contains(&ws.reservoir.footprint()),
+        (1..=bound).contains(&ws.chunk.reservoir.footprint()),
         "{} bytes, bound {bound}",
-        ws.reservoir.footprint()
+        ws.chunk.reservoir.footprint()
     );
 }
 
@@ -384,7 +388,7 @@ mod probes {
         let mut heaps: Vec<SelHeap> = (0..m).map(|_| SelHeap::new(k, false)).collect();
         let mut ws = GsknnWorkspace::new();
         let before = clock_reads();
-        with_interior(interior, || run_serial(&args, &mut heaps, &mut ws));
+        with_interior(interior, || run_nest(&args, &mut heaps, &mut ws, 1));
         (ws.stats, ws.phases, clock_reads() - before)
     }
 

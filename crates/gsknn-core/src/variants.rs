@@ -16,25 +16,27 @@
 //! | Var#5   | 5th        | `m × nc` block               |
 //! | Var#6   | 6th        | full `m × n`                 |
 //!
-//! The 4th-loop body (`ic_block_body`) is factored out so the
-//! data-parallel scheme (§2.5) can run it on disjoint query chunks —
-//! private `Qc` per thread, shared packed `Rc` — without duplicating the
-//! nest.
+//! There is one driver, [`run_nest`], for every degree of parallelism:
+//! only the 4th loop's walk depends on `p` ([`crate::parallel`]), so the
+//! 4th-loop body (`ic_block_body`) runs on disjoint query chunks —
+//! private `Qc` per worker, shared packed `Rc` — in place at `p = 1`.
 //!
 //! The whole nest is generic over the element type ([`FusedScalar`]):
 //! the micro-tile geometry (`T::MR × T::NR`) and the SIMD kernels come
 //! from the type, everything else — blocking, packing, selection — is
 //! shared between f64 and f32.
 
-use crate::buffers::{GsknnWorkspace, KernelStats};
+use crate::buffers::{ChunkScratch, GsknnWorkspace, KernelStats};
 use crate::microkernel::{tile_pass, FusedScalar, PassMode, Sweep};
 use crate::obs::{Phase, PhaseSet, STRIP_SAMPLE};
 use crate::packing::{pack_q_panel, pack_r_panel, pack_sqnorms};
+use crate::parallel::{dynamic_mc, Chunk, QueryWalk};
 use crate::params::Variant;
 use dataset::{DistanceKind, PointSet};
-use gemm_kernel::{AlignedBuf, GemmParams};
+use gemm_kernel::GemmParams;
 use gsknn_scalar::{GsknnScalar, MAX_TILE};
-use knn_select::{BinaryMaxHeap, FourHeap, Neighbor, Reservoir};
+use knn_select::{BinaryMaxHeap, FourHeap, Neighbor};
+use std::ops::Range;
 
 /// Per-query selection heap: binary for small `k` (Var#1's choice), 4-ary
 /// for large `k` (Var#6's choice) — §2.4 "Heap selection".
@@ -169,7 +171,7 @@ pub struct DriverArgs<'a, T: GsknnScalar = f64> {
     pub kind: DistanceKind,
     /// Blocking parameters.
     pub params: GemmParams,
-    /// Selection placement (must be concrete, not `Auto`).
+    /// Selection placement.
     pub variant: Variant,
 }
 
@@ -192,36 +194,6 @@ impl<'a, T: GsknnScalar> DriverArgs<'a, T> {
             params,
             variant,
         }
-    }
-}
-
-/// Geometry shared by the serial and parallel drivers.
-pub(crate) struct CcGeometry {
-    /// Row stride of the `Cc` buffer (columns padded to `NR`).
-    pub ldcc: usize,
-    /// Total `Cc` rows (queries padded to `MR`).
-    pub pad_m: usize,
-    /// Whether a `Cc` buffer is needed at all.
-    pub need_cc: bool,
-}
-
-pub(crate) fn cc_geometry<T: GsknnScalar>(args: &DriverArgs<'_, T>) -> CcGeometry {
-    let (mr, nr) = (T::MR, T::NR);
-    let m = args.q_idx.len();
-    let n = args.r_idx.len();
-    let d = args.xq.dim();
-    let multipass = d > args.params.dc;
-    let buffered = args.variant != Variant::Var1;
-    let pad_m = m.div_ceil(mr) * mr;
-    let ldcc = if args.variant == Variant::Var6 {
-        n.div_ceil(nr) * nr
-    } else {
-        args.params.nc.min(n.div_ceil(nr) * nr)
-    };
-    CcGeometry {
-        ldcc,
-        pad_m,
-        need_cc: multipass || buffered,
     }
 }
 
@@ -278,12 +250,12 @@ pub(crate) enum Interior {
 
 #[cfg(test)]
 thread_local! {
-    /// What the drivers on this thread pass to [`ic_block_body`].
+    /// What [`run_nest`] on this thread passes to [`ic_block_body`].
     pub(crate) static TEST_INTERIOR: std::cell::Cell<Interior> =
         const { std::cell::Cell::new(Interior::Sweep(STRIP_SAMPLE)) };
 }
 
-/// The [`Interior`] every driver uses (tests may override it per thread).
+/// The [`Interior`] [`run_nest`] uses (tests may override it per thread).
 pub(crate) fn interior() -> Interior {
     #[cfg(test)]
     {
@@ -301,25 +273,31 @@ pub(crate) fn interior() -> Interior {
 /// ([`FusedScalar::fused_sweep`]); every other tile — the fringe rows and
 /// columns, the partial passes, the buffered variants — runs the fused
 /// micro-kernel tile by tile. All row indexing is local to the chunk:
-/// `heaps` and `cc_rows` start at query `ic_global`.
+/// its heaps and `Cc` rows start at query `chunk.ic`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ic_block_body<T: FusedScalar>(
+fn ic_block_body<T: FusedScalar>(
     args: &DriverArgs<'_, T>,
-    ic_global: usize,
-    mcb: usize,
     rb: &RefBlock<'_, T>,
     ldcc: usize,
     interior: Interior,
-    q_pack: &mut AlignedBuf<T>,
-    q2_pack: &mut AlignedBuf<T>,
-    thr: &mut Vec<T>,
-    reservoir: &mut Reservoir<T>,
-    mut cc_rows: Option<&mut [T]>,
-    heaps: &mut [SelHeap<T>],
+    chunk: Chunk<'_, T>,
+    scratch: &mut ChunkScratch<T>,
     stats: &mut KernelStats,
     phases: &mut PhaseSet,
 ) {
     let (mr, nr) = (T::MR, T::NR);
+    let Chunk {
+        ic: ic_global,
+        heaps,
+        mut cc_rows,
+    } = chunk;
+    let ChunkScratch {
+        q_pack,
+        q2_pack,
+        thr,
+        reservoir,
+    } = scratch;
+    let mcb = heaps.len();
     let variant = args.variant;
     let multipass = args.xq.dim() > args.params.dc;
     let buffered = variant != Variant::Var1;
@@ -535,12 +513,17 @@ pub(crate) fn ic_block_body<T: FusedScalar>(
     }
 }
 
-/// Run the six-loop nest serially, updating `heaps[i]` (one per query,
-/// `heaps.len() == q_idx.len()`) with every reference candidate.
-pub fn run_serial<T: FusedScalar>(
+/// Run the six-loop nest, updating `heaps[i]` (one per query,
+/// `heaps.len() == q_idx.len()`) with every reference candidate. The 4th
+/// loop is cut into [`dynamic_mc`] query chunks walked by `p` workers —
+/// `p = 1` in order on `ws.chunk`, with no thread; the rows are the same
+/// bits for every `p`. Counters and phase times accumulate into
+/// `ws.stats` / `ws.phases`.
+pub fn run_nest<T: FusedScalar>(
     args: &DriverArgs<'_, T>,
     heaps: &mut [SelHeap<T>],
     ws: &mut GsknnWorkspace<T>,
+    p: usize,
 ) {
     let (mr, nr) = (T::MR, T::NR);
     let m = args.q_idx.len();
@@ -548,10 +531,6 @@ pub fn run_serial<T: FusedScalar>(
     let d = args.xq.dim();
     assert_eq!(heaps.len(), m, "one heap per query");
     assert_eq!(d, args.xr.dim(), "query/reference dimension mismatch");
-    assert!(
-        args.variant != Variant::Auto,
-        "driver needs a concrete variant"
-    );
     args.params
         .validate_for::<T>()
         .expect("invalid blocking parameters");
@@ -562,23 +541,36 @@ pub fn run_serial<T: FusedScalar>(
 
     let GemmParams { dc, mc, nc } = args.params;
     let variant = args.variant;
-    let geo = cc_geometry(args);
+    // `Cc`: the rank-dc spill of `d > dc` and the buffered variants' store
+    // (Var#6 keeps all `n` columns, the others one `jc` block)
+    let need_cc = d > dc || variant != Variant::Var1;
+    let ldcc = if variant == Variant::Var6 {
+        n.div_ceil(nr) * nr
+    } else {
+        nc.min(n.div_ceil(nr) * nr)
+    };
     let GsknnWorkspace {
-        q_pack,
+        chunk,
         r_pack,
-        q2_pack,
         r2_pack,
         cc,
-        thr,
-        reservoir,
         stats,
         phases,
-        ..
     } = ws;
-    let interior = interior();
-    if geo.need_cc {
-        cc.resize(geo.pad_m * geo.ldcc);
+    if need_cc {
+        cc.resize(m.div_ceil(mr) * mr * ldcc);
     }
+    let p = p.max(1);
+    let mut walk = QueryWalk {
+        p,
+        mc: dynamic_mc(m, p, mc),
+        ldcc,
+        scratch: chunk,
+        stats,
+        phases,
+    };
+    // read here, not by the workers: a test's override is per thread
+    let interior = interior();
 
     // 6th loop: partition the references
     for jc in (0..n).step_by(nc) {
@@ -593,7 +585,7 @@ pub fn run_serial<T: FusedScalar>(
 
             let nblocks = ncb.div_ceil(nr);
             gsknn_faults::fail_point!(gsknn_faults::FaultPoint::PackR);
-            phases.time(Phase::PackR, || {
+            walk.phases.time(Phase::PackR, || {
                 r_pack.resize(nblocks * nr * dcb);
                 pack_r_panel(args.xr, args.r_idx, jc, ncb, pc, dcb, r_pack.as_mut_slice());
                 if last {
@@ -614,63 +606,56 @@ pub fn run_serial<T: FusedScalar>(
             };
 
             // 4th loop: partition the queries
-            for ic in (0..m).step_by(mc) {
-                let mcb = (m - ic).min(mc);
-                let cc_rows = if geo.need_cc {
-                    let rows = (geo.pad_m - ic).min(mc.div_ceil(mr) * mr);
-                    Some(&mut cc.as_mut_slice()[ic * geo.ldcc..(ic + rows) * geo.ldcc])
-                } else {
-                    None
-                };
-                ic_block_body(
-                    args,
-                    ic,
-                    mcb,
-                    &rb,
-                    geo.ldcc,
-                    interior,
-                    q_pack,
-                    q2_pack,
-                    thr,
-                    reservoir,
-                    cc_rows,
-                    &mut heaps[ic..ic + mcb],
-                    stats,
-                    phases,
-                );
-            }
+            let cc_rows = need_cc.then(|| cc.as_mut_slice());
+            walk.for_each_chunk(heaps, cc_rows, |chunk, scratch, stats, phases| {
+                ic_block_body(args, &rb, ldcc, interior, chunk, scratch, stats, phases)
+            });
         }
         // Var#5: all queries against this jc block
         if variant == Variant::Var5 {
-            phases.time(Phase::Select, || {
-                select_block(
-                    cc.as_slice(),
-                    geo.ldcc,
-                    0..m,
-                    col0..col0 + ncb,
-                    jc,
-                    args.r_idx,
-                    heaps,
-                    stats,
-                )
-            });
+            select_buffered(
+                &mut walk,
+                args,
+                heaps,
+                cc.as_mut_slice(),
+                col0..col0 + ncb,
+                jc,
+            );
         }
     }
     // Var#6: the classical post-hoc selection over the full matrix
     if variant == Variant::Var6 {
+        select_buffered(&mut walk, args, heaps, cc.as_mut_slice(), 0..n, 0);
+    }
+}
+
+/// Var#5/#6's selection from the buffered `Cc`: every query row against
+/// the columns `cols` (reference `r_idx[ref0 + (c - cols.start)]`), in the
+/// 4th loop's chunks.
+fn select_buffered<T: FusedScalar>(
+    walk: &mut QueryWalk<'_, T>,
+    args: &DriverArgs<'_, T>,
+    heaps: &mut [SelHeap<T>],
+    cc: &mut [T],
+    cols: Range<usize>,
+    ref0: usize,
+) {
+    let ldcc = walk.ldcc;
+    walk.for_each_chunk(heaps, Some(cc), |chunk, _, stats, phases| {
+        let cc_rows = chunk.cc_rows.expect("a buffered variant keeps Cc");
         phases.time(Phase::Select, || {
             select_block(
-                cc.as_slice(),
-                geo.ldcc,
-                0..m,
-                0..n,
-                0,
+                cc_rows,
+                ldcc,
+                0..chunk.heaps.len(),
+                cols.clone(),
+                ref0,
                 args.r_idx,
-                heaps,
+                chunk.heaps,
                 stats,
             )
-        });
-    }
+        })
+    });
 }
 
 /// `d == 0`: every distance is 0; still feed candidates so the semantics
@@ -809,7 +794,7 @@ mod tests {
         let args = DriverArgs::same(x, q_idx, r_idx, kind, params, variant);
         let mut heaps: Vec<SelHeap<T>> = (0..q_idx.len()).map(|_| SelHeap::new(k, false)).collect();
         let mut ws = GsknnWorkspace::new();
-        run_serial(&args, &mut heaps, &mut ws);
+        run_nest(&args, &mut heaps, &mut ws, 1);
         heaps.into_iter().map(|h| h.into_sorted_vec()).collect()
     }
 
@@ -1032,7 +1017,7 @@ mod tests {
                 GemmParams::tiny(),
                 Variant::Var1,
             );
-            run_serial(&args, &mut heaps, &mut ws);
+            run_nest(&args, &mut heaps, &mut ws, 1);
         }
         let got: Vec<Vec<Neighbor>> = heaps.into_iter().map(|h| h.into_sorted_vec()).collect();
         let want = brute_force(&x, &q_idx, &all, 5, DistanceKind::SqL2);
@@ -1098,8 +1083,8 @@ mod tests {
         let mut bin: Vec<SelHeap> = (0..30).map(|_| SelHeap::new(9, false)).collect();
         let mut four: Vec<SelHeap> = (0..30).map(|_| SelHeap::new(9, true)).collect();
         let mut ws = GsknnWorkspace::new();
-        run_serial(&args, &mut bin, &mut ws);
-        run_serial(&args, &mut four, &mut ws);
+        run_nest(&args, &mut bin, &mut ws, 1);
+        run_nest(&args, &mut four, &mut ws, 1);
         for (b, f) in bin.into_iter().zip(four) {
             assert_eq!(b.into_sorted_vec(), f.into_sorted_vec());
         }

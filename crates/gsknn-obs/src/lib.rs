@@ -9,8 +9,7 @@
 //!   itemized terms of the §2.6 performance model
 //!   ([`gsknn_core::Model::tm_terms`]), reporting predicted vs measured
 //!   seconds and the drift ratio per component, plus realized vs
-//!   predicted GFLOPS and whether the model's Var#1/Var#6 choice was
-//!   empirically right ([`profile_run`]).
+//!   predicted GFLOPS of the configured kernel ([`profile_run`]).
 //! * **Scheduler telemetry** — per-worker predicted vs realized load and
 //!   the LPT predicted-vs-realized makespan error from
 //!   [`gsknn_core::scheduler::run_task_parallel_traced`], summarized by
@@ -52,9 +51,7 @@ pub mod trace;
 
 pub use hist::{BucketExemplar, Exemplars, HistSnapshot, LatencyHistogram};
 pub use profile::{profile_run, profile_synthetic};
-pub use report::{
-    DriftRow, PhaseRow, ProfileReport, SchedulerReport, StageBreakdown, VariantTiming, WorkerRow,
-};
+pub use report::{DriftRow, PhaseRow, ProfileReport, SchedulerReport, StageBreakdown, WorkerRow};
 pub use roofline::{classify, BoundClass, RooflineInputs, RooflineRow, RooflineVerdict};
 pub use serve::{batch_bucket, FlushCounts, LatencyRow, ServeReport, BATCH_BUCKETS};
 pub use timeseries::{parse_timeseries, render_top, timeseries_json, LoadSample};

@@ -1,29 +1,24 @@
-//! The profiler: run a problem under both candidate variants, join the
-//! measured phase breakdown against the §2.6 model's itemized terms, and
-//! judge the model's variant choice empirically.
+//! The profiler: time the configured kernel on a problem and join its
+//! measured phase breakdown against the §2.6 model's itemized terms.
 
-use crate::report::{phase_rows, DriftRow, ProfileReport, VariantTiming};
+use crate::report::{phase_rows, DriftRow, ProfileReport};
 use dataset::{DistanceKind, PointSet};
 use gsknn_core::buffers::KernelStats;
 use gsknn_core::model::Approach;
 use gsknn_core::obs::{Phase, PhaseSet};
-use gsknn_core::{FusedScalar, Gsknn, GsknnConfig, MachineParams, Model, ProblemSize, Variant};
+use gsknn_core::{FusedScalar, Gsknn, GsknnConfig, MachineParams, Model, ProblemSize};
 use std::time::Instant;
 
 fn term(terms: &[(&'static str, f64)], name: &str) -> Option<f64> {
     terms.iter().find(|(t, _)| *t == name).map(|&(_, v)| v)
 }
 
-/// Join the §2.6 model terms against the measured phases, component by
-/// component. The compute time `Tf + To` has no memory term of its own,
-/// so it folds into the rank-dc component (the phase that executes it).
-fn drift_join(
-    model: &Model,
-    ps: &ProblemSize,
-    approach: Approach,
-    phases: &PhaseSet,
-) -> Vec<DriftRow> {
-    let terms = model.tm_terms(ps, approach);
+/// Join the §2.6 model's Var#1 terms against the measured phases,
+/// component by component. The compute time `Tf + To` has no memory term
+/// of its own, so it folds into the rank-dc component (the phase that
+/// executes it).
+fn drift_join(model: &Model, ps: &ProblemSize, phases: &PhaseSet) -> Vec<DriftRow> {
+    let terms = model.tm_terms(ps, Approach::Var1);
     let compute = model.t_compute(ps);
     let mut rows = Vec::new();
 
@@ -58,7 +53,7 @@ fn drift_join(
     );
     push(
         "rank-dc + C traffic",
-        &["Cc rank-dc spill", "store C"],
+        &["Cc rank-dc spill"],
         compute,
         Some("compute (Tf + To)"),
         Phase::RankDc,
@@ -70,7 +65,6 @@ fn drift_join(
             "reservoir compactions",
             "row sort (per jc block)",
             "heap (binary, random access)",
-            "heap (4-ary, cache-line access)",
         ],
         0.0,
         None,
@@ -80,14 +74,12 @@ fn drift_join(
     rows
 }
 
-/// Profile one kNN problem: time Var#1 and Var#6 (`reps` repetitions
-/// each, best kept), read the phase breakdown and kernel counters of the
-/// variant `Variant::Auto` resolves to, join them against the model, and
-/// judge the model's own Var#1/Var#6 pick against the clock. Generic
-/// over the element type: for `f32` the machine constants are rescaled
-/// (`MachineParams::for_scalar`) so the drift join compares against the
-/// doubled-lane predictions, and the blocking comes from
-/// [`GsknnConfig::for_scalar`].
+/// Profile one kNN problem: time the kernel [`GsknnConfig::for_scalar`]
+/// configures (`reps` repetitions, best kept), read the best run's phase
+/// breakdown and kernel counters, and join them against the model's
+/// Var#1 terms. Generic over the element type: for `f32` the machine
+/// constants are rescaled (`MachineParams::for_scalar`) so the drift join
+/// compares against the doubled-lane predictions.
 pub fn profile_run<T: FusedScalar>(
     x: &PointSet<T>,
     q_idx: &[usize],
@@ -106,47 +98,20 @@ pub fn profile_run<T: FusedScalar>(
     };
     let model = Model::new(machine.for_scalar::<T>());
 
-    let candidates = [
-        (Variant::Var1, Approach::Var1),
-        (Variant::Var6, Approach::Var6),
-    ];
-    let mut variants = Vec::new();
-    let mut observed: Vec<(PhaseSet, KernelStats)> = Vec::new();
-    for (variant, approach) in candidates {
-        let mut exec: Gsknn<T> = Gsknn::new(GsknnConfig {
-            variant,
-            ..GsknnConfig::for_scalar::<T>()
-        });
-        let mut best = f64::INFINITY;
-        let mut phases = PhaseSet::new();
-        let mut stats = KernelStats::default();
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let _ = exec.run(x, q_idx, r_idx, k, kind);
-            let secs = t0.elapsed().as_secs_f64();
-            if secs < best {
-                best = secs;
-                phases = exec.last_phases();
-                stats = exec.last_stats();
-            }
+    let mut exec: Gsknn<T> = Gsknn::new(GsknnConfig::for_scalar::<T>());
+    let mut measured_total = f64::INFINITY;
+    let mut phases = PhaseSet::new();
+    let mut stats = KernelStats::default();
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let _ = exec.run(x, q_idx, r_idx, k, kind);
+        let secs = t0.elapsed().as_secs_f64();
+        if secs < measured_total {
+            measured_total = secs;
+            phases = exec.last_phases();
+            stats = exec.last_stats();
         }
-        variants.push(VariantTiming {
-            variant: variant.name().to_string(),
-            predicted: model.predict(&ps, approach),
-            measured: best,
-        });
-        observed.push((phases, stats));
     }
-
-    let index_of = |v: Variant| usize::from(v == Variant::Var6);
-    let predicted = index_of(model.choose_variant(&ps));
-    let empirical = usize::from(variants[0].measured > variants[1].measured);
-    let auto: Gsknn<T> = Gsknn::new(GsknnConfig::for_scalar::<T>());
-    let profiled = index_of(auto.effective_variant(ps.m, ps.n, ps.d, ps.k));
-    let (phases, stats) = observed[profiled];
-    let approach = candidates[profiled].1;
-    let measured_total = variants[profiled].measured;
-    let predicted_total = variants[profiled].predicted;
 
     ProfileReport {
         m: ps.m,
@@ -157,17 +122,13 @@ pub fn profile_run<T: FusedScalar>(
         kind: kind.name().to_string(),
         reps,
         obs_enabled: gsknn_core::obs::enabled(),
-        variant_predicted: variants[predicted].variant.clone(),
-        variant_empirical: variants[empirical].variant.clone(),
-        model_choice_correct: predicted == empirical,
-        variant_profiled: variants[profiled].variant.clone(),
+        variant_profiled: exec.config().variant.name().to_string(),
         measured_total,
-        predicted_total,
+        predicted_total: model.predict(&ps, Approach::Var1),
         measured_gflops: model.flops(&ps) / measured_total / 1e9,
-        predicted_gflops: model.gflops(&ps, approach),
+        predicted_gflops: model.gflops(&ps, Approach::Var1),
         phases: phase_rows(&phases),
-        drift: drift_join(&model, &ps, approach, &phases),
-        variants,
+        drift: drift_join(&model, &ps, &phases),
         stats,
     }
 }
@@ -210,28 +171,16 @@ mod tests {
     }
 
     #[test]
-    fn report_covers_both_variants_and_all_phases() {
+    fn report_covers_the_configured_kernel_and_all_phases() {
         let r = small_report();
-        assert_eq!(r.variants.len(), 2);
-        assert!(r.variants.iter().all(|v| v.predicted > 0.0));
-        assert!(r.variants.iter().all(|v| v.measured > 0.0));
+        assert_eq!(r.variant_profiled, "Var#1");
+        assert!(r.predicted_total > 0.0);
+        assert!(r.measured_total > 0.0);
         assert_eq!(r.phases.len(), gsknn_core::obs::PHASE_COUNT);
         assert_eq!(r.drift.len(), 5);
         assert!(r.measured_gflops > 0.0);
         assert!(r.predicted_gflops > 0.0);
         assert!(r.stats.tiles > 0);
-        // predicted, fastest and profiled are each one of the candidates
-        for name in [
-            &r.variant_predicted,
-            &r.variant_empirical,
-            &r.variant_profiled,
-        ] {
-            assert!(r.variants.iter().any(|v| &v.variant == name));
-        }
-        assert_eq!(
-            r.model_choice_correct,
-            r.variant_predicted == r.variant_empirical
-        );
     }
 
     #[test]
@@ -244,12 +193,7 @@ mod tests {
             d: 16,
             k: 8,
         };
-        let approach = if r.variant_profiled == Variant::Var6.name() {
-            Approach::Var6
-        } else {
-            Approach::Var1
-        };
-        let terms = model.tm_terms(&ps, approach);
+        let terms = model.tm_terms(&ps, Approach::Var1);
         // the pack-R component must carry exactly the model's pack term
         let pack_r = r
             .drift
@@ -307,10 +251,7 @@ mod tests {
         assert_eq!(r64.precision, "f64");
         // the f32 machine model halves every bandwidth-bound term, so the
         // predicted total must drop strictly below the f64 prediction
-        for (v32, v64) in r32.variants.iter().zip(&r64.variants) {
-            assert_eq!(v32.variant, v64.variant);
-            assert!(v32.predicted < v64.predicted, "{}", v32.variant);
-        }
+        assert!(r32.predicted_total < r64.predicted_total);
         assert_eq!(
             r32.to_json().get("precision").and_then(|v| v.as_str()),
             Some("f32")
@@ -338,7 +279,8 @@ mod tests {
         let r = small_report();
         let t = r.render_table();
         assert!(t.contains("profile: m=96 n=256 d=16 k=8"));
-        assert!(t.contains("variant: model picks"));
+        assert!(t.contains("total (Var#1): measured"));
+        assert!(!t.contains("model picks"));
         assert!(t.contains("kernel stats:"));
     }
 }

@@ -150,19 +150,8 @@ impl DriftRow {
     }
 }
 
-/// Predicted and measured total runtime of one variant.
-#[derive(Clone, Debug)]
-pub struct VariantTiming {
-    /// Variant name (`"Var#1"` / `"Var#6"`).
-    pub variant: String,
-    /// §2.6 predicted total seconds.
-    pub predicted: f64,
-    /// Best-of-reps measured wall seconds.
-    pub measured: f64,
-}
-
-/// Full profile of one kNN problem: phase breakdown, model drift, GFLOPS
-/// and the model's variant-choice verdict.
+/// Full profile of one kNN problem: phase breakdown, model drift and
+/// GFLOPS of the configured kernel.
 #[derive(Clone, Debug)]
 pub struct ProfileReport {
     /// Queries.
@@ -177,25 +166,16 @@ pub struct ProfileReport {
     pub precision: &'static str,
     /// Distance kind name.
     pub kind: String,
-    /// Timing repetitions per variant (best kept).
+    /// Timing repetitions (best kept).
     pub reps: usize,
     /// Whether phase probes were compiled in.
     pub obs_enabled: bool,
-    /// Variant the §2.6 model picks for this problem.
-    pub variant_predicted: String,
-    /// Empirically fastest variant (min measured total).
-    pub variant_empirical: String,
-    /// Did the model pick the empirically fastest variant?
-    pub model_choice_correct: bool,
-    /// The variant `Variant::Auto` resolves to for this problem — what a
-    /// default-configured kernel runs. Totals, phases, drift and counters
-    /// below are this variant's.
+    /// The variant the configured kernel runs; totals, phases, drift and
+    /// counters below are its.
     pub variant_profiled: String,
-    /// Per-variant predicted vs measured totals.
-    pub variants: Vec<VariantTiming>,
-    /// Measured total of the profiled variant (seconds).
+    /// Best-of-reps measured total of the profiled variant (seconds).
     pub measured_total: f64,
-    /// Predicted total of the profiled variant (seconds).
+    /// §2.6 predicted total of the profiled variant (seconds).
     pub predicted_total: f64,
     /// Realized GFLOPS of the profiled variant.
     pub measured_gflops: f64,
@@ -250,17 +230,6 @@ impl ProfileReport {
                 ])
             })
             .collect();
-        let variants: Vec<Value> = self
-            .variants
-            .iter()
-            .map(|v| {
-                Value::Object(vec![
-                    ("variant".into(), Value::from(v.variant.clone())),
-                    ("predicted_s".into(), Value::from(v.predicted)),
-                    ("measured_s".into(), Value::from(v.measured)),
-                ])
-            })
-            .collect();
         Value::Object(vec![
             ("experiment".into(), Value::from("profile")),
             ("m".into(), Value::from(self.m)),
@@ -272,22 +241,9 @@ impl ProfileReport {
             ("reps".into(), Value::from(self.reps)),
             ("obs_enabled".into(), Value::from(self.obs_enabled)),
             (
-                "variant_predicted".into(),
-                Value::from(self.variant_predicted.clone()),
-            ),
-            (
-                "variant_empirical".into(),
-                Value::from(self.variant_empirical.clone()),
-            ),
-            (
-                "model_choice_correct".into(),
-                Value::from(self.model_choice_correct),
-            ),
-            (
                 "variant_profiled".into(),
                 Value::from(self.variant_profiled.clone()),
             ),
-            ("variants".into(), Value::Array(variants)),
             ("measured_total_s".into(), Value::from(self.measured_total)),
             (
                 "predicted_total_s".into(),
@@ -311,29 +267,6 @@ impl ProfileReport {
             "profile: m={} n={} d={} k={} {} kind={} (best of {} reps)\n",
             self.m, self.n, self.d, self.k, self.precision, self.kind, self.reps
         ));
-        out.push_str(&format!(
-            "variant: model picks {} | empirically fastest {} | model {}\n",
-            self.variant_predicted,
-            self.variant_empirical,
-            if self.model_choice_correct {
-                "CORRECT"
-            } else {
-                "WRONG"
-            }
-        ));
-        for v in &self.variants {
-            out.push_str(&format!(
-                "  {:<6} predicted {:>12}  measured {:>12}  ({:.2}x)\n",
-                v.variant,
-                fmt_secs(v.predicted),
-                fmt_secs(v.measured),
-                if v.predicted > 0.0 {
-                    v.measured / v.predicted
-                } else {
-                    0.0
-                }
-            ));
-        }
         out.push_str(&format!(
             "total ({}): measured {} @ {:.2} GFLOPS | predicted {} @ {:.2} GFLOPS\n",
             self.variant_profiled,

@@ -14,10 +14,11 @@
 //!
 //! [`batch_target`] turns the first trigger into a precomputed constant
 //! `m*` per (index, precision) pair, so the hot path is one integer
-//! comparison.
+//! comparison. Every price here is the model's Var#1 — the variant the
+//! kernel runs.
 
 use gsknn_core::model::Approach;
-use gsknn_core::{Model, ProblemSize, Variant};
+use gsknn_core::{Model, ProblemSize};
 
 /// The `m` treated as "asymptotically large" when computing the GFLOPS
 /// ceiling a batch is measured against (the paper's plots flatten well
@@ -33,13 +34,6 @@ pub enum FlushReason {
     Deadline,
     /// Shutdown drain — flushed whatever was held.
     Drain,
-}
-
-fn approach_for(model: &Model, p: &ProblemSize) -> Approach {
-    match model.choose_variant(p) {
-        Variant::Var6 => Approach::Var6,
-        _ => Approach::Var1,
-    }
 }
 
 /// Smallest batch size `m*` whose predicted GFLOPS reaches `frac` of the
@@ -66,11 +60,10 @@ pub fn batch_target(
         d,
         k,
     };
-    let approach = approach_for(model, &asym);
-    let goal = frac * model.gflops(&asym, approach);
+    let goal = frac * model.gflops(&asym, Approach::Var1);
     for m in 1..=max_batch {
         let p = ProblemSize { m, n, d, k };
-        if model.gflops(&p, approach) >= goal {
+        if model.gflops(&p, Approach::Var1) >= goal {
             return m;
         }
     }
@@ -119,14 +112,13 @@ pub fn predict_batch_cost_into(
         d,
         k,
     };
-    let approach = approach_for(model, &p);
     let scale = n_trees.max(1) as f64;
-    model.tm_terms_into(&p, approach, terms);
+    model.tm_terms_into(&p, Approach::Var1, terms);
     for term in terms.iter_mut() {
         term.1 *= scale;
     }
     terms.push(("compute (Tf + To)", model.t_compute(&p) * scale));
-    model.predict(&p, approach) * scale
+    model.predict(&p, Approach::Var1) * scale
 }
 
 /// The total of [`predict_batch_cost`] without the itemization — and
@@ -146,8 +138,7 @@ pub fn predict_batch_total(
         d,
         k,
     };
-    let approach = approach_for(model, &p);
-    model.predict(&p, approach) * n_trees.max(1) as f64
+    model.predict(&p, Approach::Var1) * n_trees.max(1) as f64
 }
 
 /// Time constant of the arrival-rate EWMA: how much history the adaptive
@@ -286,16 +277,74 @@ mod tests {
             d,
             k,
         };
-        let approach = approach_for(&m, &asym);
-        let goal = frac * m.gflops(&asym, approach);
-        let at_t = m.gflops(&ProblemSize { m: t, n, d, k }, approach);
+        let goal = frac * m.gflops(&asym, Approach::Var1);
+        let at_t = m.gflops(&ProblemSize { m: t, n, d, k }, Approach::Var1);
         assert!(at_t >= goal, "m* = {t}: {at_t} < {goal}");
         if t > 1 {
-            let below = m.gflops(&ProblemSize { m: t - 1, n, d, k }, approach);
+            let below = m.gflops(&ProblemSize { m: t - 1, n, d, k }, Approach::Var1);
             assert!(
                 below < goal,
                 "m* not minimal: {below} >= {goal} at m = {}",
                 t - 1
+            );
+        }
+    }
+
+    /// The serve ledger's forest lane: 512-point leaves, d = 16, `k_max`.
+    const LEAF: usize = 512;
+    const D: usize = 16;
+    const K_MAX: usize = 128;
+
+    fn lane_models() -> [Model; 2] {
+        let machine = MachineParams::ivy_bridge_1core();
+        [
+            Model::new(machine.for_scalar::<f64>()),
+            Model::new(machine.for_scalar::<f32>()),
+        ]
+    }
+
+    #[test]
+    fn target_prices_var1_at_the_forest_lane() {
+        // the model's Var#6 would put m* at 27 here; Var#1 is what runs
+        for model in lane_models() {
+            assert_eq!(batch_target(&model, LEAF, D, K_MAX, 0.9, 512), 21);
+        }
+    }
+
+    #[test]
+    fn batch_cost_itemizes_the_reservoir_terms() {
+        for model in lane_models() {
+            let (_, terms) = predict_batch_cost(&model, 4, LEAF, 21, D, K_MAX);
+            let names: Vec<&str> = terms.iter().map(|(name, _)| *name).collect();
+            for name in [
+                "reservoir appends",
+                "reservoir compactions",
+                "row sort (per jc block)",
+            ] {
+                assert!(names.contains(&name), "{name} missing from {names:?}");
+            }
+            assert!(
+                !names.contains(&"heap (4-ary, cache-line access)"),
+                "{names:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_total_is_the_var1_prediction() {
+        // f32, k = 16: the model's Var#6 is the cheaper one at every m here
+        let [_, model] = lane_models();
+        for m in 1..=512 {
+            let p = ProblemSize {
+                m,
+                n: LEAF,
+                d: D,
+                k: 16,
+            };
+            assert_eq!(
+                predict_batch_total(&model, 1, LEAF, m, D, 16),
+                model.predict(&p, Approach::Var1),
+                "m = {m}"
             );
         }
     }

@@ -4,6 +4,7 @@
 
 use crate::tree::build_leaf_partition;
 use dataset::{DistanceKind, PointSet};
+use gsknn_core::model::Approach;
 use gsknn_core::scheduler::lpt_execute;
 use gsknn_core::{FusedScalar, Gsknn, GsknnConfig, GsknnScalar, MachineParams, Model, ProblemSize};
 use knn_ref::{GemmKnn, GemmScalar};
@@ -226,18 +227,20 @@ impl AllNnSolver {
             };
             let results: Vec<(Vec<usize>, NeighborTable<T>)> = if let Some(p) = self.cfg.lpt_workers
             {
-                // §2.5 task parallelism: model-estimated leaf costs →
-                // LPT buckets → one long-lived kernel per worker.
+                // §2.5 task parallelism: model-estimated leaf costs (of
+                // Var#1, the variant that runs) → LPT buckets → one
+                // long-lived kernel per worker.
                 let model = Model::new(MachineParams::ivy_bridge_1core().for_scalar::<T>());
                 let costs: Vec<f64> = leaves
                     .iter()
                     .map(|ids| {
-                        model.estimate_runtime(&ProblemSize {
+                        let size = ProblemSize {
                             m: ids.len(),
                             n: ids.len(),
                             d: x.dim(),
                             k,
-                        })
+                        };
+                        model.predict(&size, Approach::Var1)
                     })
                     .collect();
                 lpt_execute(&costs, p, &make_kernel, |kernel, t| {

@@ -1,6 +1,7 @@
-//! Model-guided tuning (§2.6): use the performance model to (a) choose
-//! between Var#1 and Var#6 without an exhaustive sweep, and (b) schedule
-//! a bag of irregular kNN tasks across workers with LPT list scheduling.
+//! Model-guided tuning (§2.6): use the performance model to (a) place
+//! the paper's Var#1→Var#6 switch-over (Figure 5's model line; the kernel
+//! itself runs Var#1 at every k), and (b) schedule a bag of irregular kNN
+//! tasks across workers with LPT list scheduling.
 //!
 //! ```sh
 //! cargo run --release --example autotune
@@ -9,36 +10,15 @@
 use gsknn::core::model::Approach;
 use gsknn::core::scheduler::{lpt_schedule, makespan, run_task_parallel, KnnTask};
 use gsknn::core::GsknnConfig;
-use gsknn::{DistanceKind, MachineParams, Model, ProblemSize, Variant};
+use gsknn::{DistanceKind, MachineParams, Model, ProblemSize};
 
 fn main() {
     let machine = MachineParams::ivy_bridge_1core();
     let model = Model::new(machine);
 
-    // (a) the (d, k) decision surface for m = n = 8192
-    println!("variant decision surface (m = n = 8192), per the performance model:");
-    print!("{:>8}", "d\\k");
-    let ks = [16usize, 64, 256, 512, 1024, 2048, 4096];
-    for k in ks {
-        print!("{k:>8}");
-    }
-    println!();
-    for d in [16usize, 64, 256, 1024] {
-        print!("{d:>8}");
-        for k in ks {
-            let p = ProblemSize {
-                m: 8192,
-                n: 8192,
-                d,
-                k,
-            };
-            let v = model.choose_variant(&p);
-            print!("{:>8}", if v == Variant::Var1 { "V1" } else { "V6" });
-        }
-        println!();
-    }
+    // (a) the paper's switch-over for m = n = 8192
     if let Some(thr) = model.threshold_k(8192, 8192, 64, 8192) {
-        println!("\npredicted switch-over at d = 64: k = {thr}");
+        println!("predicted switch-over at d = 64: k = {thr}");
         let p = ProblemSize {
             m: 8192,
             n: 8192,
@@ -52,7 +32,7 @@ fn main() {
         );
     }
 
-    // (b) schedule 12 irregular tasks on 4 workers
+    // (b) schedule 12 irregular tasks on 4 workers, priced as Var#1
     println!("\nLPT scheduling of irregular kernel tasks:");
     let x = gsknn::data::uniform(6_000, 32, 9);
     let tasks: Vec<KnnTask> = (0..12)
@@ -68,12 +48,13 @@ fn main() {
     let costs: Vec<f64> = tasks
         .iter()
         .map(|t| {
-            model.estimate_runtime(&ProblemSize {
+            let size = ProblemSize {
                 m: t.q_idx.len(),
                 n: t.r_idx.len(),
                 d: x.dim(),
                 k: t.k,
-            })
+            };
+            model.predict(&size, Approach::Var1)
         })
         .collect();
     let schedule = lpt_schedule(&costs, 4);

@@ -1,10 +1,9 @@
 //! Cross-crate property tests: every kernel implementation in the
-//! workspace — GSKNN in all five variants (serial and data-parallel, all
+//! workspace — GSKNN in all five variants (at p = 1 and p = 3, all
 //! norms), the GEMM-based reference, and the single-loop baseline — must
 //! agree with the brute-force oracle on arbitrary problem shapes.
 
-use gsknn::core::parallel::run_data_parallel;
-use gsknn::core::variants::{run_serial, DriverArgs, SelHeap};
+use gsknn::core::variants::{run_nest, DriverArgs, SelHeap};
 use gsknn::core::{GsknnWorkspace, Variant};
 use gsknn::reference::{oracle, single_loop_knn, GemmKnn};
 use gsknn::{DistanceKind, Gsknn, GsknnConfig, NeighborTable, PointSet};
@@ -118,11 +117,10 @@ proptest! {
             );
             let mut serial: Vec<SelHeap> =
                 (0..p.q_idx.len()).map(|_| SelHeap::new(p.k, false)).collect();
-            let mut ws = GsknnWorkspace::new();
-            run_serial(&args, &mut serial, &mut ws);
+            run_nest(&args, &mut serial, &mut GsknnWorkspace::new(), 1);
             let mut par: Vec<SelHeap> =
                 (0..p.q_idx.len()).map(|_| SelHeap::new(p.k, false)).collect();
-            run_data_parallel(&args, &mut par, 3);
+            run_nest(&args, &mut par, &mut GsknnWorkspace::new(), 3);
             for (s, pp) in serial.into_iter().zip(par) {
                 prop_assert_eq!(s.into_sorted_vec(), pp.into_sorted_vec());
             }
@@ -161,8 +159,8 @@ proptest! {
 
 #[test]
 fn auto_variant_matches_forced_variants_on_threshold_sizes() {
-    // around the auto rule boundary (k = 512), results must be identical
-    // regardless of which variant executes
+    // around the paper's rule-of-thumb boundary (k = 512), the default
+    // variant and a forced one must return identical results
     let x = gsknn::data::uniform(700, 12, 99);
     let q: Vec<usize> = (0..40).collect();
     let r: Vec<usize> = (0..700).collect();

@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn f32_fused_matches_f64_oracle_on_other_norms(p in problems()) {
         for kind in [DistanceKind::L1, DistanceKind::LInf, DistanceKind::Cosine] {
-            if let Err(e) = check_agreement(&p, kind, Variant::Auto) {
+            if let Err(e) = check_agreement(&p, kind, Variant::Var1) {
                 prop_assert!(false, "{}: {e}", kind.name());
             }
         }

@@ -51,8 +51,7 @@ fn native_params_match_paper_params() {
 /// The data-parallel scheme at paper parameters, oversubscribed.
 #[test]
 fn data_parallel_stress() {
-    use gsknn::core::parallel::run_data_parallel;
-    use gsknn::core::variants::{run_serial, DriverArgs, SelHeap};
+    use gsknn::core::variants::{run_nest, DriverArgs, SelHeap};
     use gsknn::core::GsknnWorkspace;
 
     let x = gsknn::data::uniform(3000, 70, 31);
@@ -67,10 +66,9 @@ fn data_parallel_stress() {
         Variant::Var1,
     );
     let mut serial: Vec<SelHeap> = (0..777).map(|_| SelHeap::new(12, false)).collect();
-    let mut ws = GsknnWorkspace::new();
-    run_serial(&args, &mut serial, &mut ws);
+    run_nest(&args, &mut serial, &mut GsknnWorkspace::new(), 1);
     let mut par: Vec<SelHeap> = (0..777).map(|_| SelHeap::new(12, false)).collect();
-    run_data_parallel(&args, &mut par, 8);
+    run_nest(&args, &mut par, &mut GsknnWorkspace::new(), 8);
     for (s, p) in serial.into_iter().zip(par) {
         assert_eq!(s.into_sorted_vec(), p.into_sorted_vec());
     }
