@@ -606,7 +606,7 @@ fn main() {
         let replicated =
             run_router_replicated(n_refs, d, &queries, clients, deadline_ms, k, rep_duration);
         serde_json::json!({
-            "backends": rreport.backends,
+            "backends": rreport.backends(),
             "replicated": replicated,
             "lanes": (Value::Array(
                 rlanes

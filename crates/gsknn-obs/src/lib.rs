@@ -17,8 +17,10 @@
 //! * **Serving telemetry** — traffic, admission-control, and batch-
 //!   coalescing counters from the `gsknn-serve` query service, joined
 //!   against the model-predicted batch cost ([`ServeReport`]), plus
-//!   per-lane × per-status end-to-end latency histograms and a
-//!   Prometheus-style text exposition.
+//!   per-lane × per-status end-to-end latency histograms; the router
+//!   tier's counters, backend health and per-backend latency histograms
+//!   ([`RouterReport`]). Both tiers render their Prometheus text
+//!   exposition through one writer (the crate-private `expo` module).
 //! * **Latency histograms** — lock-free log-bucketed recorders with
 //!   mergeable snapshots and p50/p90/p99/p999 estimates ([`hist`]).
 //! * **Request traces** — span timelines for individual served
@@ -41,10 +43,12 @@
 //! still times totals, but phase rows are zero and reports carry
 //! `obs_enabled = false`.
 
+mod expo;
 pub mod hist;
 pub mod profile;
 pub mod report;
 pub mod roofline;
+pub mod router;
 pub mod serve;
 pub mod timeseries;
 pub mod trace;
@@ -53,6 +57,7 @@ pub use hist::{BucketExemplar, Exemplars, HistSnapshot, LatencyHistogram};
 pub use profile::{profile_run, profile_synthetic};
 pub use report::{DriftRow, PhaseRow, ProfileReport, SchedulerReport, StageBreakdown, WorkerRow};
 pub use roofline::{classify, BoundClass, RooflineInputs, RooflineRow, RooflineVerdict};
+pub use router::RouterReport;
 pub use serve::{batch_bucket, FlushCounts, LatencyRow, ServeReport, BATCH_BUCKETS};
 pub use timeseries::{parse_timeseries, render_top, timeseries_json, LoadSample};
 pub use trace::{align_spans, chrome_trace_json, Trace, TraceRing, TraceSpan};

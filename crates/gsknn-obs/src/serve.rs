@@ -9,25 +9,10 @@
 //! same predicted-vs-measured drift discipline as [`crate::ProfileReport`],
 //! aggregated over every flush instead of one profiled problem.
 
+use crate::expo::{Counter, Expo};
 use crate::hist::HistSnapshot;
 use crate::roofline::{BoundClass, RooflineRow};
 use serde_json::Value;
-
-/// Escape a label value for the Prometheus text exposition (format
-/// 0.0.4): backslash, double-quote and newline must be escaped inside
-/// the quoted value.
-pub fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Per-shard traffic and supervision counters: one row per shard thread
 /// in the sharded server, so a hot or flapping shard is visible without
@@ -178,6 +163,51 @@ impl ServeReport {
         }
     }
 
+    /// The scalar counters, declared once for the Stats JSON and the
+    /// exposition (`gsknn_<key>_total`).
+    fn counters(&self) -> [Counter; 10] {
+        [
+            (
+                "requests",
+                "Request frames received (all ops).",
+                self.requests,
+            ),
+            (
+                "queries",
+                "Query points answered with a neighbor row.",
+                self.queries,
+            ),
+            ("busy", "Requests bounced by admission control.", self.busy),
+            (
+                "timeouts",
+                "Requests whose latency budget expired before the kernel ran.",
+                self.timeouts,
+            ),
+            ("errors", "Malformed or failed requests.", self.errors),
+            ("batches", "Kernel batches executed.", self.batches),
+            (
+                "worker_panics",
+                "Worker batches that panicked.",
+                self.worker_panics,
+            ),
+            (
+                "worker_respawns",
+                "Workers rebuilt after a panic.",
+                self.worker_respawns,
+            ),
+            (
+                "degraded_queries",
+                "f64 queries answered from the f32 lane while shedding load.",
+                self.degraded_queries,
+            ),
+            (
+                "overload_events",
+                "Transitions into the overloaded state.",
+                self.overload_events,
+            ),
+        ]
+    }
+
     /// JSON value for machine consumption (the `Stats` wire op body).
     pub fn to_json(&self) -> Value {
         let hist: Vec<Value> = self
@@ -185,15 +215,13 @@ impl ServeReport {
             .iter()
             .zip(BATCH_BUCKETS)
             .map(|(&count, hi)| {
+                let le = if hi == usize::MAX {
+                    Value::from("inf")
+                } else {
+                    Value::from(hi)
+                };
                 Value::Object(vec![
-                    (
-                        "le".into(),
-                        if hi == usize::MAX {
-                            Value::String("inf".into())
-                        } else {
-                            Value::from(hi)
-                        },
-                    ),
+                    ("le".into(), le),
                     ("count".into(), Value::from(count)),
                 ])
             })
@@ -218,30 +246,60 @@ impl ServeReport {
                 ])
             })
             .collect();
-        Value::Object(vec![
+        let shards: Vec<Value> = self
+            .shards
+            .iter()
+            .map(|s| {
+                Value::Object(vec![
+                    ("shard".into(), Value::from(s.shard)),
+                    ("batches".into(), Value::from(s.batches)),
+                    ("queries".into(), Value::from(s.queries)),
+                    ("worker_panics".into(), Value::from(s.worker_panics)),
+                    ("worker_respawns".into(), Value::from(s.worker_respawns)),
+                    ("conns".into(), Value::from(s.conns)),
+                ])
+            })
+            .collect();
+        let latency: Vec<Value> = self
+            .latency
+            .iter()
+            .map(|row| {
+                let mut obj = vec![
+                    ("lane".into(), Value::from(&row.lane)),
+                    ("status".into(), Value::from(&row.status)),
+                ];
+                if let Value::Object(fields) = row.hist.to_json() {
+                    obj.extend(fields);
+                }
+                let exemplars: Vec<Value> = row
+                    .exemplars
+                    .iter()
+                    .map(|x| {
+                        Value::Object(vec![
+                            ("le_ns".into(), Value::from(x.le_ns)),
+                            ("ns".into(), Value::from(x.ns)),
+                            (
+                                "trace_id".into(),
+                                Value::from(format!("{:016x}", x.trace_id)),
+                            ),
+                        ])
+                    })
+                    .collect();
+                if !exemplars.is_empty() {
+                    obj.push(("exemplars".into(), Value::Array(exemplars)));
+                }
+                Value::Object(obj)
+            })
+            .collect();
+        let mut fields = vec![
             ("experiment".into(), Value::from("serve")),
-            (
-                "precisions".into(),
-                Value::Array(
-                    self.precisions
-                        .iter()
-                        .map(|p| Value::String(p.clone()))
-                        .collect(),
-                ),
-            ),
-            ("requests".into(), Value::from(self.requests)),
-            ("queries".into(), Value::from(self.queries)),
-            ("busy".into(), Value::from(self.busy)),
-            ("timeouts".into(), Value::from(self.timeouts)),
-            ("errors".into(), Value::from(self.errors)),
-            ("batches".into(), Value::from(self.batches)),
-            ("worker_panics".into(), Value::from(self.worker_panics)),
-            ("worker_respawns".into(), Value::from(self.worker_respawns)),
-            (
-                "degraded_queries".into(),
-                Value::from(self.degraded_queries),
-            ),
-            ("overload_events".into(), Value::from(self.overload_events)),
+            ("precisions".into(), Value::from(self.precisions.clone())),
+        ];
+        fields.extend(
+            self.counters()
+                .map(|(key, _, v)| (key.to_string(), Value::from(v))),
+        );
+        fields.extend([
             ("flush_model".into(), Value::from(self.flushes.model)),
             ("flush_deadline".into(), Value::from(self.flushes.deadline)),
             ("flush_drain".into(), Value::from(self.flushes.drain)),
@@ -253,24 +311,7 @@ impl ServeReport {
                 "roofline".into(),
                 Value::Array(self.roofline.iter().map(RooflineRow::to_json).collect()),
             ),
-            (
-                "shards".into(),
-                Value::Array(
-                    self.shards
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("shard".into(), Value::from(s.shard)),
-                                ("batches".into(), Value::from(s.batches)),
-                                ("queries".into(), Value::from(s.queries)),
-                                ("worker_panics".into(), Value::from(s.worker_panics)),
-                                ("worker_respawns".into(), Value::from(s.worker_respawns)),
-                                ("conns".into(), Value::from(s.conns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("shards".into(), Value::Array(shards)),
             ("batch_hist".into(), Value::Array(hist)),
             (
                 "queue_high_water".into(),
@@ -278,47 +319,7 @@ impl ServeReport {
             ),
             ("in_flight".into(), Value::from(self.in_flight)),
             ("overloaded".into(), Value::from(self.overloaded)),
-            (
-                "latency".into(),
-                Value::Array(
-                    self.latency
-                        .iter()
-                        .map(|row| {
-                            let mut obj = vec![
-                                ("lane".into(), Value::String(row.lane.clone())),
-                                ("status".into(), Value::String(row.status.clone())),
-                            ];
-                            if let Value::Object(fields) = row.hist.to_json() {
-                                obj.extend(fields);
-                            }
-                            if !row.exemplars.is_empty() {
-                                obj.push((
-                                    "exemplars".into(),
-                                    Value::Array(
-                                        row.exemplars
-                                            .iter()
-                                            .map(|x| {
-                                                Value::Object(vec![
-                                                    ("le_ns".into(), Value::from(x.le_ns)),
-                                                    ("ns".into(), Value::from(x.ns)),
-                                                    (
-                                                        "trace_id".into(),
-                                                        Value::String(format!(
-                                                            "{:016x}",
-                                                            x.trace_id
-                                                        )),
-                                                    ),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ));
-                            }
-                            Value::Object(obj)
-                        })
-                        .collect(),
-                ),
-            ),
+            ("latency".into(), Value::Array(latency)),
             ("batch_targets".into(), Value::Array(targets)),
             ("predicted_s".into(), Value::from(self.predicted_s)),
             ("measured_s".into(), Value::from(self.measured_s)),
@@ -327,7 +328,8 @@ impl ServeReport {
                 self.drift_ratio().map(Value::from).unwrap_or(Value::Null),
             ),
             ("predicted_terms".into(), Value::Array(terms)),
-        ])
+        ]);
+        Value::Object(fields)
     }
 
     /// Human-readable report.
@@ -455,170 +457,121 @@ impl ServeReport {
     /// that gained samples are emitted (plus `+Inf`); the cumulative
     /// counts stay correct on any `le` grid.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut counter = |name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        counter(
-            "gsknn_requests_total",
-            "Request frames received (all ops).",
-            self.requests,
-        );
-        counter(
-            "gsknn_queries_total",
-            "Query points answered with a neighbor row.",
-            self.queries,
-        );
-        counter(
-            "gsknn_busy_total",
-            "Requests bounced by admission control.",
-            self.busy,
-        );
-        counter(
-            "gsknn_timeouts_total",
-            "Requests whose latency budget expired before the kernel ran.",
-            self.timeouts,
-        );
-        counter(
-            "gsknn_errors_total",
-            "Malformed or failed requests.",
-            self.errors,
-        );
-        counter(
-            "gsknn_batches_total",
-            "Kernel batches executed.",
-            self.batches,
-        );
-        counter(
-            "gsknn_worker_panics_total",
-            "Worker batches that panicked.",
-            self.worker_panics,
-        );
-        counter(
-            "gsknn_worker_respawns_total",
-            "Workers rebuilt after a panic.",
-            self.worker_respawns,
-        );
-        counter(
-            "gsknn_degraded_queries_total",
-            "f64 queries answered from the f32 lane while shedding load.",
-            self.degraded_queries,
-        );
-        counter(
-            "gsknn_overload_events_total",
-            "Transitions into the overloaded state.",
-            self.overload_events,
-        );
-        out.push_str(
-            "# HELP gsknn_flushes_total Coalescer flushes by trigger.\n# TYPE gsknn_flushes_total counter\n",
+        let mut w = Expo::default();
+        w.counters("gsknn_", &self.counters());
+        w.family(
+            "gsknn_flushes_total",
+            "counter",
+            "Coalescer flushes by trigger.",
         );
         for (reason, v) in [
             ("model", self.flushes.model),
             ("deadline", self.flushes.deadline),
             ("drain", self.flushes.drain),
         ] {
-            out.push_str(&format!("gsknn_flushes_total{{reason=\"{reason}\"}} {v}\n"));
+            w.sample("gsknn_flushes_total", &[("reason", reason)], v);
         }
         if !self.roofline.is_empty() {
-            out.push_str(
-                "# HELP gsknn_roofline_batches_total Executed batches by binding roofline class.\n# TYPE gsknn_roofline_batches_total counter\n",
+            w.family(
+                "gsknn_roofline_batches_total",
+                "counter",
+                "Executed batches by binding roofline class.",
             );
             for row in &self.roofline {
-                let lane = escape_label(&row.lane);
                 for class in BoundClass::ALL {
-                    out.push_str(&format!(
-                        "gsknn_roofline_batches_total{{lane=\"{lane}\",bound=\"{}\"}} {}\n",
-                        class.name(),
-                        row.counts[class.index()]
-                    ));
+                    w.sample(
+                        "gsknn_roofline_batches_total",
+                        &[("lane", &row.lane), ("bound", class.name())],
+                        row.counts[class.index()],
+                    );
                 }
             }
         }
         if !self.shards.is_empty() {
-            let mut shard_counter = |name: &str, help: &str, get: &dyn Fn(&ShardRow) -> u64| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+            type Field = fn(&ShardRow) -> u64;
+            let per_shard: [(&str, &str, Field); 5] = [
+                (
+                    "gsknn_shard_batches_total",
+                    "Kernel batches executed, per shard.",
+                    |s| s.batches,
+                ),
+                (
+                    "gsknn_shard_queries_total",
+                    "Query points answered, per shard.",
+                    |s| s.queries,
+                ),
+                (
+                    "gsknn_shard_worker_panics_total",
+                    "Batches that panicked, per shard.",
+                    |s| s.worker_panics,
+                ),
+                (
+                    "gsknn_shard_worker_respawns_total",
+                    "Workspace rebuilds after a panic, per shard.",
+                    |s| s.worker_respawns,
+                ),
+                (
+                    "gsknn_shard_connections_total",
+                    "Connections adopted from the acceptor, per shard.",
+                    |s| s.conns,
+                ),
+            ];
+            for (name, help, get) in per_shard {
+                w.family(name, "counter", help);
                 for s in &self.shards {
-                    out.push_str(&format!("{name}{{shard=\"{}\"}} {}\n", s.shard, get(s)));
+                    w.sample(name, &[("shard", &s.shard.to_string())], get(s));
                 }
-            };
-            shard_counter(
-                "gsknn_shard_batches_total",
-                "Kernel batches executed, per shard.",
-                &|s| s.batches,
-            );
-            shard_counter(
-                "gsknn_shard_queries_total",
-                "Query points answered, per shard.",
-                &|s| s.queries,
-            );
-            shard_counter(
-                "gsknn_shard_worker_panics_total",
-                "Batches that panicked, per shard.",
-                &|s| s.worker_panics,
-            );
-            shard_counter(
-                "gsknn_shard_worker_respawns_total",
-                "Workspace rebuilds after a panic, per shard.",
-                &|s| s.worker_respawns,
-            );
-            shard_counter(
-                "gsknn_shard_connections_total",
-                "Connections adopted from the acceptor, per shard.",
-                &|s| s.conns,
-            );
+            }
         }
-        let mut gauge = |name: &str, help: &str, v: String| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        gauge(
+        w.scalar(
             "gsknn_in_flight",
+            "gauge",
             "Query points currently admitted and unanswered.",
-            self.in_flight.to_string(),
+            self.in_flight,
         );
-        gauge(
+        w.scalar(
             "gsknn_overloaded",
+            "gauge",
             "1 while the overload detector holds the degraded state.",
-            u64::from(self.overloaded).to_string(),
+            u64::from(self.overloaded),
         );
-        gauge(
+        w.scalar(
             "gsknn_queue_high_water",
+            "gauge",
             "Highest simultaneous in-flight query count observed.",
-            self.queue_high_water.to_string(),
+            self.queue_high_water,
         );
-        gauge(
+        w.scalar(
             "gsknn_coalesce_ratio",
+            "gauge",
             "Fraction of steady-state flushes triggered by the model.",
             format!("{:.6}", self.flushes.coalesce_ratio()),
         );
         if self.roofline.iter().any(|r| r.total() > 0) {
-            out.push_str(
-                "# HELP gsknn_roofline_headroom Mean asymptote-over-achieved on the binding resource.\n# TYPE gsknn_roofline_headroom gauge\n",
+            w.family(
+                "gsknn_roofline_headroom",
+                "gauge",
+                "Mean asymptote-over-achieved on the binding resource.",
             );
             for row in &self.roofline {
                 if let Some(h) = row.headroom_mean() {
-                    out.push_str(&format!(
-                        "gsknn_roofline_headroom{{lane=\"{}\"}} {h:.6}\n",
-                        escape_label(&row.lane)
-                    ));
+                    w.sample(
+                        "gsknn_roofline_headroom",
+                        &[("lane", &row.lane)],
+                        format!("{h:.6}"),
+                    );
                 }
             }
         }
-        out.push_str(
-            "# HELP gsknn_batch_target Model batch-size target m* per lane.\n# TYPE gsknn_batch_target gauge\n",
+        w.family(
+            "gsknn_batch_target",
+            "gauge",
+            "Model batch-size target m* per lane.",
         );
         for (lane, m) in &self.batch_targets {
-            out.push_str(&format!(
-                "gsknn_batch_target{{lane=\"{}\"}} {m}\n",
-                escape_label(lane)
-            ));
+            w.sample("gsknn_batch_target", &[("lane", lane)], m);
         }
-        out.push_str(
-            "# HELP gsknn_batch_size Coalesced batch sizes.\n# TYPE gsknn_batch_size histogram\n",
-        );
+        w.family("gsknn_batch_size", "histogram", "Coalesced batch sizes.");
         let mut cum = 0u64;
         for (&count, hi) in self.batch_hist.iter().zip(BATCH_BUCKETS) {
             cum += count;
@@ -630,73 +583,45 @@ impl ServeReport {
             } else {
                 hi.to_string()
             };
-            out.push_str(&format!("gsknn_batch_size_bucket{{le=\"{le}\"}} {cum}\n"));
+            w.sample("gsknn_batch_size_bucket", &[("le", &le)], cum);
         }
-        out.push_str(&format!("gsknn_batch_size_count {cum}\n"));
+        w.sample("gsknn_batch_size_count", &[], cum);
         if !self.latency.is_empty() {
-            out.push_str(
-                "# HELP gsknn_request_latency_seconds End-to-end request latency (receive to reply written).\n# TYPE gsknn_request_latency_seconds histogram\n",
+            w.family(
+                "gsknn_request_latency_seconds",
+                "histogram",
+                "End-to-end request latency (receive to reply written).",
             );
             for row in &self.latency {
-                let labels = format!(
-                    "lane=\"{}\",status=\"{}\"",
-                    escape_label(&row.lane),
-                    escape_label(&row.status)
+                w.histogram(
+                    "gsknn_request_latency_seconds",
+                    &[("lane", &row.lane), ("status", &row.status)],
+                    &row.hist,
+                    &row.exemplars,
                 );
-                let mut cum = 0u64;
-                for (le_ns, count) in row.hist.nonzero_buckets() {
-                    cum += count;
-                    let le = if le_ns == u64::MAX {
-                        "+Inf".to_string()
-                    } else {
-                        format!("{:.9}", le_ns as f64 / 1e9)
-                    };
-                    // OpenMetrics-style exemplar: link the bucket to
-                    // the slowest trace that landed in it
-                    let exemplar = row
-                        .exemplars
-                        .iter()
-                        .find(|x| x.le_ns == le_ns)
-                        .map(|x| {
-                            format!(
-                                " # {{trace_id=\"{:016x}\"}} {:.9}",
-                                x.trace_id,
-                                x.ns as f64 / 1e9
-                            )
-                        })
-                        .unwrap_or_default();
-                    out.push_str(&format!(
-                        "gsknn_request_latency_seconds_bucket{{{labels},le=\"{le}\"}} {cum}{exemplar}\n"
-                    ));
-                }
-                out.push_str(&format!(
-                    "gsknn_request_latency_seconds_bucket{{{labels},le=\"+Inf\"}} {cum}\n"
-                ));
-                out.push_str(&format!(
-                    "gsknn_request_latency_seconds_sum{{{labels}}} {:.9}\n",
-                    row.hist.sum_ns as f64 / 1e9
-                ));
-                out.push_str(&format!(
-                    "gsknn_request_latency_seconds_count{{{labels}}} {}\n",
-                    row.hist.count()
-                ));
             }
         }
-        out.push_str(&format!(
-            "# HELP gsknn_batch_cost_predicted_seconds_total Summed model-predicted batch cost.\n# TYPE gsknn_batch_cost_predicted_seconds_total counter\ngsknn_batch_cost_predicted_seconds_total {:.9}\n",
-            self.predicted_s
-        ));
-        out.push_str(&format!(
-            "# HELP gsknn_batch_cost_measured_seconds_total Summed measured kernel wall time.\n# TYPE gsknn_batch_cost_measured_seconds_total counter\ngsknn_batch_cost_measured_seconds_total {:.9}\n",
-            self.measured_s
-        ));
-        out
+        w.scalar(
+            "gsknn_batch_cost_predicted_seconds_total",
+            "counter",
+            "Summed model-predicted batch cost.",
+            format!("{:.9}", self.predicted_s),
+        );
+        w.scalar(
+            "gsknn_batch_cost_measured_seconds_total",
+            "counter",
+            "Summed measured kernel wall time.",
+            format!("{:.9}", self.measured_s),
+        );
+        w.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expo::promparse;
+    use crate::{RouterReport, StageBreakdown};
 
     fn sample() -> ServeReport {
         let mut hist = vec![0u64; BATCH_BUCKETS.len()];
@@ -786,6 +711,133 @@ mod tests {
                 ("pack Rc + R2c".into(), 0.006),
             ],
         }
+    }
+
+    /// The exposition of [`sample`], pinned byte for byte: moving the
+    /// format onto the shared writer must not change a single byte.
+    const GOLDEN_PROMETHEUS: &str = r##"# HELP gsknn_requests_total Request frames received (all ops).
+# TYPE gsknn_requests_total counter
+gsknn_requests_total 42
+# HELP gsknn_queries_total Query points answered with a neighbor row.
+# TYPE gsknn_queries_total counter
+gsknn_queries_total 210
+# HELP gsknn_busy_total Requests bounced by admission control.
+# TYPE gsknn_busy_total counter
+gsknn_busy_total 3
+# HELP gsknn_timeouts_total Requests whose latency budget expired before the kernel ran.
+# TYPE gsknn_timeouts_total counter
+gsknn_timeouts_total 1
+# HELP gsknn_errors_total Malformed or failed requests.
+# TYPE gsknn_errors_total counter
+gsknn_errors_total 2
+# HELP gsknn_batches_total Kernel batches executed.
+# TYPE gsknn_batches_total counter
+gsknn_batches_total 6
+# HELP gsknn_worker_panics_total Worker batches that panicked.
+# TYPE gsknn_worker_panics_total counter
+gsknn_worker_panics_total 1
+# HELP gsknn_worker_respawns_total Workers rebuilt after a panic.
+# TYPE gsknn_worker_respawns_total counter
+gsknn_worker_respawns_total 1
+# HELP gsknn_degraded_queries_total f64 queries answered from the f32 lane while shedding load.
+# TYPE gsknn_degraded_queries_total counter
+gsknn_degraded_queries_total 5
+# HELP gsknn_overload_events_total Transitions into the overloaded state.
+# TYPE gsknn_overload_events_total counter
+gsknn_overload_events_total 1
+# HELP gsknn_flushes_total Coalescer flushes by trigger.
+# TYPE gsknn_flushes_total counter
+gsknn_flushes_total{reason="model"} 4
+gsknn_flushes_total{reason="deadline"} 1
+gsknn_flushes_total{reason="drain"} 1
+# HELP gsknn_roofline_batches_total Executed batches by binding roofline class.
+# TYPE gsknn_roofline_batches_total counter
+gsknn_roofline_batches_total{lane="f64",bound="compute"} 1
+gsknn_roofline_batches_total{lane="f64",bound="bandwidth"} 0
+gsknn_roofline_batches_total{lane="f64",bound="coalesce"} 3
+gsknn_roofline_batches_total{lane="f64",bound="queue"} 0
+gsknn_roofline_batches_total{lane="f32",bound="compute"} 0
+gsknn_roofline_batches_total{lane="f32",bound="bandwidth"} 1
+gsknn_roofline_batches_total{lane="f32",bound="coalesce"} 1
+gsknn_roofline_batches_total{lane="f32",bound="queue"} 0
+# HELP gsknn_shard_batches_total Kernel batches executed, per shard.
+# TYPE gsknn_shard_batches_total counter
+gsknn_shard_batches_total{shard="0"} 4
+gsknn_shard_batches_total{shard="1"} 2
+# HELP gsknn_shard_queries_total Query points answered, per shard.
+# TYPE gsknn_shard_queries_total counter
+gsknn_shard_queries_total{shard="0"} 140
+gsknn_shard_queries_total{shard="1"} 70
+# HELP gsknn_shard_worker_panics_total Batches that panicked, per shard.
+# TYPE gsknn_shard_worker_panics_total counter
+gsknn_shard_worker_panics_total{shard="0"} 0
+gsknn_shard_worker_panics_total{shard="1"} 1
+# HELP gsknn_shard_worker_respawns_total Workspace rebuilds after a panic, per shard.
+# TYPE gsknn_shard_worker_respawns_total counter
+gsknn_shard_worker_respawns_total{shard="0"} 0
+gsknn_shard_worker_respawns_total{shard="1"} 1
+# HELP gsknn_shard_connections_total Connections adopted from the acceptor, per shard.
+# TYPE gsknn_shard_connections_total counter
+gsknn_shard_connections_total{shard="0"} 5
+gsknn_shard_connections_total{shard="1"} 4
+# HELP gsknn_in_flight Query points currently admitted and unanswered.
+# TYPE gsknn_in_flight gauge
+gsknn_in_flight 4
+# HELP gsknn_overloaded 1 while the overload detector holds the degraded state.
+# TYPE gsknn_overloaded gauge
+gsknn_overloaded 1
+# HELP gsknn_queue_high_water Highest simultaneous in-flight query count observed.
+# TYPE gsknn_queue_high_water gauge
+gsknn_queue_high_water 17
+# HELP gsknn_coalesce_ratio Fraction of steady-state flushes triggered by the model.
+# TYPE gsknn_coalesce_ratio gauge
+gsknn_coalesce_ratio 0.800000
+# HELP gsknn_roofline_headroom Mean asymptote-over-achieved on the binding resource.
+# TYPE gsknn_roofline_headroom gauge
+gsknn_roofline_headroom{lane="f64"} 3.000000
+gsknn_roofline_headroom{lane="f32"} 2.500000
+# HELP gsknn_batch_target Model batch-size target m* per lane.
+# TYPE gsknn_batch_target gauge
+gsknn_batch_target{lane="f64"} 48
+gsknn_batch_target{lane="f32"} 96
+# HELP gsknn_batch_size Coalesced batch sizes.
+# TYPE gsknn_batch_size histogram
+gsknn_batch_size_bucket{le="1"} 2
+gsknn_batch_size_bucket{le="32"} 5
+gsknn_batch_size_bucket{le="+Inf"} 6
+gsknn_batch_size_count 6
+# HELP gsknn_request_latency_seconds End-to-end request latency (receive to reply written).
+# TYPE gsknn_request_latency_seconds histogram
+gsknn_request_latency_seconds_bucket{lane="f64",status="ok",le="0.000917504"} 1
+gsknn_request_latency_seconds_bucket{lane="f64",status="ok",le="0.001310720"} 2
+gsknn_request_latency_seconds_bucket{lane="f64",status="ok",le="0.002097152"} 3
+gsknn_request_latency_seconds_bucket{lane="f64",status="ok",le="0.041943040"} 4
+gsknn_request_latency_seconds_bucket{lane="f64",status="ok",le="+Inf"} 4
+gsknn_request_latency_seconds_sum{lane="f64",status="ok"} 0.044000000
+gsknn_request_latency_seconds_count{lane="f64",status="ok"} 4
+gsknn_request_latency_seconds_bucket{lane="f32",status="timeout",le="0.058720256"} 1
+gsknn_request_latency_seconds_bucket{lane="f32",status="timeout",le="+Inf"} 1
+gsknn_request_latency_seconds_sum{lane="f32",status="timeout"} 0.055000000
+gsknn_request_latency_seconds_count{lane="f32",status="timeout"} 1
+# HELP gsknn_batch_cost_predicted_seconds_total Summed model-predicted batch cost.
+# TYPE gsknn_batch_cost_predicted_seconds_total counter
+gsknn_batch_cost_predicted_seconds_total 0.010000000
+# HELP gsknn_batch_cost_measured_seconds_total Summed measured kernel wall time.
+# TYPE gsknn_batch_cost_measured_seconds_total counter
+gsknn_batch_cost_measured_seconds_total 0.013000000
+"##;
+
+    /// The Stats JSON of [`sample`], pinned byte for byte.
+    const GOLDEN_JSON: &str = r##"{"experiment":"serve","precisions":["f64","f32"],"requests":42,"queries":210,"busy":3,"timeouts":1,"errors":2,"batches":6,"worker_panics":1,"worker_respawns":1,"degraded_queries":5,"overload_events":1,"flush_model":4,"flush_deadline":1,"flush_drain":1,"coalesce_ratio":0.8,"roofline":[{"lane":"f64","compute":1,"bandwidth":0,"coalesce":3,"queue":0,"batches":4,"headroom":3},{"lane":"f32","compute":0,"bandwidth":1,"coalesce":1,"queue":0,"batches":2,"headroom":2.5}],"shards":[{"shard":0,"batches":4,"queries":140,"worker_panics":0,"worker_respawns":0,"conns":5},{"shard":1,"batches":2,"queries":70,"worker_panics":1,"worker_respawns":1,"conns":4}],"batch_hist":[{"le":1,"count":2},{"le":2,"count":0},{"le":4,"count":0},{"le":8,"count":0},{"le":16,"count":0},{"le":32,"count":3},{"le":64,"count":0},{"le":128,"count":0},{"le":256,"count":0},{"le":"inf","count":1}],"queue_high_water":17,"in_flight":4,"overloaded":true,"latency":[{"lane":"f64","status":"ok","count":4,"sum_ns":44000000,"p50_us":1179.648,"p90_us":37748.736,"p99_us":37748.736,"p999_us":37748.736,"buckets":[{"le_ns":917504,"count":1},{"le_ns":1310720,"count":1},{"le_ns":2097152,"count":1},{"le_ns":41943040,"count":1}]},{"lane":"f32","status":"timeout","count":1,"sum_ns":55000000,"p50_us":54525.952,"p90_us":54525.952,"p99_us":54525.952,"p999_us":54525.952,"buckets":[{"le_ns":58720256,"count":1}]}],"batch_targets":[{"precision":"f64","batch_target":48},{"precision":"f32","batch_target":96}],"predicted_s":0.01,"measured_s":0.013,"drift_ratio":1.2999999999999998,"predicted_terms":[{"term":"compute (Tf + To)","predicted_s":0.004},{"term":"pack Rc + R2c","predicted_s":0.006}]}"##;
+
+    #[test]
+    fn exposition_matches_the_golden_bytes() {
+        assert_eq!(sample().render_prometheus(), GOLDEN_PROMETHEUS);
+    }
+
+    #[test]
+    fn stats_json_matches_the_golden_bytes() {
+        assert_eq!(sample().to_json().to_string(), GOLDEN_JSON);
     }
 
     #[test]
@@ -1042,282 +1094,6 @@ mod tests {
         promparse::parse(&prom).expect("escaped exposition still parses strictly");
     }
 
-    /// A strict text-format-0.0.4 parser: rejects malformed names,
-    /// unescaped label values, missing TYPE declarations, non-numeric
-    /// sample values, non-monotone histogram buckets, and `_count` rows
-    /// that disagree with the `+Inf` bucket.
-    mod promparse {
-        #[derive(Debug, Clone)]
-        pub struct Sample {
-            pub name: String,
-            pub labels: Vec<(String, String)>,
-            pub value: f64,
-            /// OpenMetrics-style exemplar (` # {labels} value` suffix),
-            /// if the line carried one.
-            pub exemplar: Option<(Vec<(String, String)>, f64)>,
-        }
-
-        fn valid_metric_name(s: &str) -> bool {
-            let mut chars = s.chars();
-            match chars.next() {
-                Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-                _ => return false,
-            }
-            chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        }
-
-        fn valid_label_name(s: &str) -> bool {
-            let mut chars = s.chars();
-            match chars.next() {
-                Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-                _ => return false,
-            }
-            chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
-        }
-
-        fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
-            let mut out = Vec::new();
-            let mut chars = s.chars().peekable();
-            loop {
-                let mut name = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if !valid_label_name(&name) {
-                    return Err(format!("bad label name {name:?} in {s:?}"));
-                }
-                if chars.next() != Some('=') || chars.next() != Some('"') {
-                    return Err(format!("expected =\" after label name in {s:?}"));
-                }
-                let mut val = String::new();
-                loop {
-                    match chars.next() {
-                        Some('\\') => match chars.next() {
-                            Some('\\') => val.push('\\'),
-                            Some('"') => val.push('"'),
-                            Some('n') => val.push('\n'),
-                            other => return Err(format!("bad escape {other:?} in {s:?}")),
-                        },
-                        Some('"') => break,
-                        Some('\n') | None => return Err(format!("unterminated value in {s:?}")),
-                        Some(c) => val.push(c),
-                    }
-                }
-                out.push((name, val));
-                match chars.next() {
-                    Some(',') => continue,
-                    None => break,
-                    Some(c) => return Err(format!("unexpected {c:?} after label in {s:?}")),
-                }
-            }
-            Ok(out)
-        }
-
-        fn parse_sample(line: &str) -> Result<Sample, String> {
-            let (name, rest) = match line.find('{') {
-                Some(brace) => {
-                    // find the closing brace outside quotes, honoring escapes
-                    let tail = &line[brace + 1..];
-                    let mut in_quotes = false;
-                    let mut escaped = false;
-                    let mut close = None;
-                    for (i, c) in tail.char_indices() {
-                        if escaped {
-                            escaped = false;
-                        } else if c == '\\' {
-                            escaped = true;
-                        } else if c == '"' {
-                            in_quotes = !in_quotes;
-                        } else if c == '}' && !in_quotes {
-                            close = Some(i);
-                            break;
-                        }
-                    }
-                    let close = close.ok_or_else(|| format!("no closing brace in {line:?}"))?;
-                    let labels = parse_labels(&tail[..close])?;
-                    (&line[..brace], (labels, &tail[close + 1..]))
-                }
-                None => {
-                    let sp = line
-                        .find(' ')
-                        .ok_or_else(|| format!("no value in {line:?}"))?;
-                    (&line[..sp], (Vec::new(), &line[sp..]))
-                }
-            };
-            let (labels, value_part) = rest;
-            if !valid_metric_name(name) {
-                return Err(format!("bad metric name {name:?}"));
-            }
-            let value_part = value_part
-                .strip_prefix(' ')
-                .ok_or_else(|| format!("missing space before value in {line:?}"))?;
-            // an OpenMetrics exemplar may trail the value:
-            // `value # {labels} exemplar_value`
-            let (value_part, exemplar) = match value_part.split_once(" # ") {
-                Some((v, ex)) => {
-                    let ex = ex
-                        .strip_prefix('{')
-                        .ok_or_else(|| format!("exemplar without labels in {line:?}"))?;
-                    let (ex_labels, ex_rest) = ex
-                        .split_once('}')
-                        .ok_or_else(|| format!("unclosed exemplar labels in {line:?}"))?;
-                    let ex_labels = parse_labels(ex_labels)?;
-                    let ex_value = ex_rest
-                        .strip_prefix(' ')
-                        .ok_or_else(|| format!("exemplar without value in {line:?}"))?;
-                    if ex_value.contains(' ') {
-                        return Err(format!("trailing tokens after exemplar in {line:?}"));
-                    }
-                    let ex_value = ex_value
-                        .parse::<f64>()
-                        .map_err(|_| format!("unparseable exemplar value in {line:?}"))?;
-                    (v, Some((ex_labels, ex_value)))
-                }
-                None => (value_part, None),
-            };
-            if value_part.contains(' ') {
-                return Err(format!("trailing tokens in {line:?}"));
-            }
-            let value = match value_part {
-                "+Inf" => f64::INFINITY,
-                "-Inf" => f64::NEG_INFINITY,
-                v => v
-                    .parse::<f64>()
-                    .map_err(|_| format!("unparseable value {v:?} in {line:?}"))?,
-            };
-            Ok(Sample {
-                name: name.to_string(),
-                labels,
-                value,
-                exemplar,
-            })
-        }
-
-        /// Parse and structurally validate a full exposition.
-        pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
-            let mut types: Vec<(String, String)> = Vec::new();
-            let mut samples: Vec<Sample> = Vec::new();
-            for line in text.lines() {
-                if line.is_empty() {
-                    continue;
-                }
-                if let Some(comment) = line.strip_prefix("# ") {
-                    let mut parts = comment.splitn(3, ' ');
-                    let keyword = parts.next().unwrap_or("");
-                    let name = parts.next().unwrap_or("");
-                    let body = parts.next();
-                    if !valid_metric_name(name) {
-                        return Err(format!("bad name in comment {line:?}"));
-                    }
-                    match keyword {
-                        "HELP" => {
-                            if body.is_none() {
-                                return Err(format!("HELP without text: {line:?}"));
-                            }
-                        }
-                        "TYPE" => {
-                            let ty = body.ok_or_else(|| format!("TYPE without type: {line:?}"))?;
-                            if !["counter", "gauge", "histogram", "summary", "untyped"]
-                                .contains(&ty)
-                            {
-                                return Err(format!("unknown type {ty:?}"));
-                            }
-                            if types.iter().any(|(n, _)| n == name) {
-                                return Err(format!("duplicate TYPE for {name}"));
-                            }
-                            types.push((name.to_string(), ty.to_string()));
-                        }
-                        _ => return Err(format!("unknown comment keyword in {line:?}")),
-                    }
-                    continue;
-                }
-                samples.push(parse_sample(line)?);
-            }
-            // every sample belongs to a declared family
-            for s in &samples {
-                let family = types.iter().find(|(n, _)| {
-                    n == &s.name
-                        || ((s.name == format!("{n}_bucket")
-                            || s.name == format!("{n}_sum")
-                            || s.name == format!("{n}_count"))
-                            && types.iter().any(|(tn, tt)| tn == n && tt == "histogram"))
-                });
-                let (_, ty) =
-                    family.ok_or_else(|| format!("sample {} has no TYPE declaration", s.name))?;
-                if ty == "counter" && !(s.value >= 0.0 && s.value.is_finite()) {
-                    return Err(format!("counter {} has bad value {}", s.name, s.value));
-                }
-            }
-            // histogram structure: per label-set (minus le), buckets are
-            // emitted with increasing le and non-decreasing cumulative
-            // counts, ending in +Inf, which _count must equal
-            for (fam, ty) in &types {
-                if ty != "histogram" {
-                    continue;
-                }
-                let bucket_name = format!("{fam}_bucket");
-                let count_name = format!("{fam}_count");
-                // (label set minus `le`) -> [(le, cumulative count)]
-                type BucketSeries = Vec<(Vec<(String, String)>, Vec<(f64, f64)>)>;
-                let mut series: BucketSeries = Vec::new();
-                for s in samples.iter().filter(|s| s.name == bucket_name) {
-                    let le_raw = s
-                        .labels
-                        .iter()
-                        .find(|(k, _)| k == "le")
-                        .map(|(_, v)| v.clone())
-                        .ok_or_else(|| format!("bucket without le: {fam}"))?;
-                    let le = match le_raw.as_str() {
-                        "+Inf" => f64::INFINITY,
-                        v => v.parse::<f64>().map_err(|_| format!("bad le {v:?}"))?,
-                    };
-                    let mut key: Vec<(String, String)> = s
-                        .labels
-                        .iter()
-                        .filter(|(k, _)| k != "le")
-                        .cloned()
-                        .collect();
-                    key.sort();
-                    match series.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, buckets)) => buckets.push((le, s.value)),
-                        None => series.push((key, vec![(le, s.value)])),
-                    }
-                }
-                for (key, buckets) in &series {
-                    for pair in buckets.windows(2) {
-                        if pair[1].0 <= pair[0].0 {
-                            return Err(format!("le not increasing for {fam} {key:?}"));
-                        }
-                        if pair[1].1 < pair[0].1 {
-                            return Err(format!("cumulative count decreases for {fam} {key:?}"));
-                        }
-                    }
-                    let last = buckets.last().unwrap();
-                    if !last.0.is_infinite() {
-                        return Err(format!("{fam} {key:?} missing +Inf bucket"));
-                    }
-                    if let Some(count) = samples.iter().find(|s| {
-                        s.name == count_name && {
-                            let mut k: Vec<_> = s.labels.clone();
-                            k.sort();
-                            k == *key
-                        }
-                    }) {
-                        if (count.value - last.1).abs() > 1e-9 {
-                            return Err(format!("{fam} {key:?} _count != +Inf bucket"));
-                        }
-                    }
-                }
-            }
-            Ok(samples)
-        }
-    }
-
     #[test]
     fn strict_parser_accepts_the_sample_exposition() {
         let samples = promparse::parse(&sample().render_prometheus()).expect("strictly parses");
@@ -1442,6 +1218,49 @@ mod tests {
         }
     }
 
+    /// A router report over 1–3 partitions × 1–2 replicas with
+    /// arbitrary counters and health; the first backend carries the
+    /// latency samples, the rest stay empty.
+    fn arbitrary_router_report(counters: &[u64], ns_samples: &[u64]) -> RouterReport {
+        let c = |i: usize| counters.get(i).copied().unwrap_or(0);
+        let replicas = 1 + (c(0) % 2) as usize;
+        let backends = replicas * (1 + (c(1) % 3) as usize);
+        let mut latency = HistSnapshot::new();
+        for &ns in ns_samples {
+            latency.record_ns(ns);
+        }
+        RouterReport {
+            replicas,
+            epoch: c(2),
+            queries: c(3),
+            degraded: c(4),
+            hedges: c(5),
+            epoch_rejects: c(6),
+            rejoins: c(7),
+            replica_failovers: c(8),
+            replica_hedges_won: c(9),
+            replica_hedges_lost: c(10),
+            stages: StageBreakdown {
+                network_ns: c(11),
+                backend_wait_ns: c(12),
+                kernel_ns: c(13),
+                merge_ns: c(14),
+            },
+            backend_up: (0..backends).map(|i| (c(15) >> i) & 1 == 0).collect(),
+            backend_replies: (0..backends).map(|i| c(16 + i % 3)).collect(),
+            backend_errors: (0..backends).map(|i| c(18 - i % 3)).collect(),
+            backend_latency: (0..backends)
+                .map(|i| {
+                    if i == 0 {
+                        latency.clone()
+                    } else {
+                        HistSnapshot::new()
+                    }
+                })
+                .collect(),
+        }
+    }
+
     use proptest::prelude::*;
 
     proptest::proptest! {
@@ -1472,6 +1291,18 @@ mod tests {
                 .sum();
             let expect: u64 = roofline_counts.iter().sum();
             prop_assert!((sum - expect as f64).abs() < 1e-9);
+
+            // the router tier renders through the same writer
+            let router = arbitrary_router_report(&counters, &ns);
+            let parsed = promparse::parse(&router.render_prometheus());
+            prop_assert!(parsed.is_ok(), "router strict parse failed: {:?}", parsed.err());
+            let up: f64 = parsed
+                .unwrap()
+                .iter()
+                .filter(|s| s.name == "gsknn_router_backend_up")
+                .map(|s| s.value)
+                .sum();
+            prop_assert_eq!(up as usize, router.healthy());
         }
 
         /// Counters only grow between scrapes: rendering a report and a

@@ -47,14 +47,19 @@
 //!   (`gsknn_router_epoch_rejects_total`) or the wrong partition slice,
 //!   so a stale or miswired replica can never leak rows from an old
 //!   partitioning into a merged answer.
-//! * **Observability.** The same stack as the serve tier: per-backend
-//!   latency histograms and `gsknn_router_*` counter families (wire
-//!   `Metrics` op or `--metrics-addr` HTTP), fan-out / per-backend-wait
-//!   / merge spans in the slowest-traces ring (wire `Traces` op), and a
+//! * **Observability.** The same stack as the serve tier: one snapshot,
+//!   [`RouterReport`], rendered as the wire `Stats` JSON, the drain
+//!   table and the Prometheus exposition (wire `Metrics` op or
+//!   `--metrics-addr` HTTP) through the serve tier's writer — the
+//!   `gsknn_router_*` counter families plus one
+//!   `gsknn_router_backend_latency_seconds` histogram per backend
+//!   (`_bucket`, `_sum`, `_count`); fan-out / per-backend-wait / merge
+//!   spans in the slowest-traces ring (wire `Traces` op), and a
 //!   slow-query log line.
 
 mod metrics;
 mod router;
 
-pub use metrics::{BackendStat, RouterMetrics, RouterReport};
+pub use gsknn_obs::RouterReport;
+pub use metrics::{BackendStat, RouterMetrics};
 pub use router::{Router, RouterConfig};

@@ -1,14 +1,14 @@
-//! Router-tier counters and per-backend latency histograms, rendered as
-//! a Prometheus-style text exposition (`gsknn_router_*` families) and as
-//! the final [`RouterReport`] the `route` command prints on drain.
+//! Router-tier live counters and per-backend latency histograms. Every
+//! rendering — Stats JSON, Prometheus exposition, the drain table —
+//! goes through one snapshot, [`RouterMetrics::report`].
 
-use gsknn_obs::{LatencyHistogram, StageBreakdown};
-use std::fmt::Write as _;
+use gsknn_obs::{LatencyHistogram, RouterReport, StageBreakdown};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Per-backend tallies: replies folded into merges, exchange failures,
 /// and the fan-out→reply latency distribution.
+#[derive(Default)]
 pub struct BackendStat {
     /// Partials from this backend folded into merged answers.
     pub replies: AtomicU64,
@@ -25,41 +25,21 @@ pub struct BackendStat {
 }
 
 /// Shared router counters. All lock-free; handler threads bump them
-/// directly.
+/// directly. Each counter is the live value of the like-named
+/// [`RouterReport`] field, documented there.
+#[derive(Default)]
 pub struct RouterMetrics {
-    /// Query/batch requests routed (any outcome).
     pub queries: AtomicU64,
-    /// Merged answers that shipped with partitions missing
-    /// (`Status::OkDegraded` + partial envelope).
     pub degraded: AtomicU64,
-    /// Hedged re-sends: a backend exchange failed and the router retried
-    /// it once on a fresh connection inside the deadline.
     pub hedges: AtomicU64,
-    /// Partials rejected for carrying a different partition-map epoch
-    /// than the router's.
     pub epoch_rejects: AtomicU64,
-    /// Downed backends that passed a liveness probe and rejoined the
-    /// fan-out.
     pub rejoins: AtomicU64,
-    /// Send-time failovers: the preferred replica of a partition
-    /// refused the fan-out write and a sibling replica took the query
-    /// instead.
     pub replica_failovers: AtomicU64,
-    /// Hedges that turned out necessary: the sibling's reply was folded
-    /// into the merge while the primary never produced a valid one.
     pub replica_hedges_won: AtomicU64,
-    /// Hedges that turned out wasted: the primary answered after the
-    /// hedge to a sibling had already fired.
     pub replica_hedges_lost: AtomicU64,
-    /// Cumulative per-stage time attribution across routed queries, in
-    /// nanoseconds ([`StageBreakdown::STAGES`] order: network,
-    /// backend_wait, kernel, merge). Fed by the stitched-trace
-    /// attribution on every routed query; exposed as the
-    /// `gsknn_router_stage_ns_total{stage}` family.
+    /// Cumulative per-stage nanoseconds, [`StageBreakdown::STAGES`] order.
     stage_ns: [AtomicU64; 4],
-    /// Replicas per partition (1 = unreplicated); backends are
-    /// partition-major, so backend `i` is replica `i % replicas` of
-    /// partition `i / replicas`.
+    /// Replicas per partition; backends are partition-major.
     replicas: usize,
     backends: Vec<BackendStat>,
 }
@@ -69,24 +49,9 @@ impl RouterMetrics {
     /// partitions.
     pub fn new(n: usize, replicas: usize) -> Self {
         RouterMetrics {
-            queries: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-            epoch_rejects: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            replica_failovers: AtomicU64::new(0),
-            replica_hedges_won: AtomicU64::new(0),
-            replica_hedges_lost: AtomicU64::new(0),
-            stage_ns: Default::default(),
             replicas: replicas.max(1),
-            backends: (0..n)
-                .map(|_| BackendStat {
-                    replies: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                    latency: LatencyHistogram::new(),
-                    ewma_ns: AtomicU64::new(0),
-                })
-                .collect(),
+            backends: (0..n).map(|_| BackendStat::default()).collect(),
+            ..Self::default()
         }
     }
 
@@ -122,175 +87,15 @@ impl RouterMetrics {
         }
     }
 
-    /// Snapshot of the cumulative stage attribution.
-    pub fn stages(&self) -> StageBreakdown {
-        let t: Vec<u64> = self
-            .stage_ns
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        StageBreakdown {
-            network_ns: t[0],
-            backend_wait_ns: t[1],
-            kernel_ns: t[2],
-            merge_ns: t[3],
-        }
-    }
-
-    /// The Prometheus-style text exposition. `up[i]` is the live health
-    /// gauge for backend `i`.
-    pub fn render_prometheus(&self, up: &[bool]) -> String {
-        let mut out = String::new();
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        counter(
-            &mut out,
-            "gsknn_router_queries_total",
-            "Query requests routed (any outcome).",
-            self.queries.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "gsknn_router_degraded_total",
-            "Merged answers shipped with partitions missing.",
-            self.degraded.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "gsknn_router_hedges_total",
-            "Hedged re-sends after a failed backend exchange.",
-            self.hedges.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "gsknn_router_epoch_rejects_total",
-            "Partials rejected for a mismatched partition-map epoch.",
-            self.epoch_rejects.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "gsknn_router_rejoins_total",
-            "Downed backends that rejoined after a successful probe.",
-            self.rejoins.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "gsknn_router_replica_failovers_total",
-            "Fan-out writes failed over to a sibling replica.",
-            self.replica_failovers.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "gsknn_router_replica_hedges_won_total",
-            "Hedged sibling replies folded in while the primary never answered.",
-            self.replica_hedges_won.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "gsknn_router_replica_hedges_lost_total",
-            "Hedges wasted because the primary replica answered after all.",
-            self.replica_hedges_lost.load(Ordering::Relaxed),
-        );
-        let _ = writeln!(
-            out,
-            "# HELP gsknn_router_stage_ns_total Routed-query time attributed per cross-tier stage, nanoseconds."
-        );
-        let _ = writeln!(out, "# TYPE gsknn_router_stage_ns_total counter");
-        for (stage, counter) in StageBreakdown::STAGES.iter().zip(&self.stage_ns) {
-            let _ = writeln!(
-                out,
-                "gsknn_router_stage_ns_total{{stage=\"{stage}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gsknn_router_backend_up Backend health (1 = in the fan-out)."
-        );
-        let _ = writeln!(out, "# TYPE gsknn_router_backend_up gauge");
-        for (i, &u) in up.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "gsknn_router_backend_up{{backend=\"{i}\"}} {}",
-                u as u8
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gsknn_router_replica_up Replica health by partition (1 = in the fan-out)."
-        );
-        let _ = writeln!(out, "# TYPE gsknn_router_replica_up gauge");
-        for (i, &u) in up.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "gsknn_router_replica_up{{partition=\"{}\",replica=\"{}\"}} {}",
-                i / self.replicas,
-                i % self.replicas,
-                u as u8
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gsknn_router_backend_replies_total Partials folded into merged answers."
-        );
-        let _ = writeln!(out, "# TYPE gsknn_router_backend_replies_total counter");
-        for (i, b) in self.backends.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "gsknn_router_backend_replies_total{{backend=\"{i}\"}} {}",
-                b.replies.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gsknn_router_backend_errors_total Failed backend exchanges."
-        );
-        let _ = writeln!(out, "# TYPE gsknn_router_backend_errors_total counter");
-        for (i, b) in self.backends.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "gsknn_router_backend_errors_total{{backend=\"{i}\"}} {}",
-                b.errors.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP gsknn_router_backend_latency_seconds Send-to-partial latency quantiles."
-        );
-        let _ = writeln!(out, "# TYPE gsknn_router_backend_latency_seconds summary");
-        for (i, b) in self.backends.iter().enumerate() {
-            let snap = b.latency.snapshot();
-            for (q, v) in [
-                (0.5, snap.p50_ns()),
-                (0.9, snap.p90_ns()),
-                (0.99, snap.p99_ns()),
-            ] {
-                if let Some(ns) = v {
-                    let _ = writeln!(
-                        out,
-                        "gsknn_router_backend_latency_seconds{{backend=\"{i}\",quantile=\"{q}\"}} {:.9}",
-                        ns as f64 / 1e9
-                    );
-                }
-            }
-            let _ = writeln!(
-                out,
-                "gsknn_router_backend_latency_seconds_count{{backend=\"{i}\"}} {}",
-                snap.count()
-            );
-        }
-        out
-    }
-
-    /// The drain-time summary.
-    pub fn report(&self, up: &[bool]) -> RouterReport {
+    /// Snapshot every counter, with the live health flags and the
+    /// partition-map epoch the router validates against.
+    pub fn report(&self, backend_up: Vec<bool>, epoch: u64) -> RouterReport {
+        let [network_ns, backend_wait_ns, kernel_ns, merge_ns] =
+            self.stage_ns.each_ref().map(|c| c.load(Ordering::Relaxed));
+        let per_backend = |f: fn(&BackendStat) -> u64| self.backends.iter().map(f).collect();
         RouterReport {
-            backends: self.backends.len(),
             replicas: self.replicas,
-            healthy: up.iter().filter(|&&u| u).count(),
+            epoch,
             queries: self.queries.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             hedges: self.hedges.load(Ordering::Relaxed),
@@ -299,85 +104,179 @@ impl RouterMetrics {
             replica_failovers: self.replica_failovers.load(Ordering::Relaxed),
             replica_hedges_won: self.replica_hedges_won.load(Ordering::Relaxed),
             replica_hedges_lost: self.replica_hedges_lost.load(Ordering::Relaxed),
-            stages: self.stages(),
-            backend_replies: self
-                .backends
-                .iter()
-                .map(|b| b.replies.load(Ordering::Relaxed))
-                .collect(),
-            backend_errors: self
-                .backends
-                .iter()
-                .map(|b| b.errors.load(Ordering::Relaxed))
-                .collect(),
+            stages: StageBreakdown {
+                network_ns,
+                backend_wait_ns,
+                kernel_ns,
+                merge_ns,
+            },
+            backend_up,
+            backend_replies: per_backend(|b| b.replies.load(Ordering::Relaxed)),
+            backend_errors: per_backend(|b| b.errors.load(Ordering::Relaxed)),
+            backend_latency: self.backends.iter().map(|b| b.latency.snapshot()).collect(),
         }
-    }
-}
-
-/// Final tallies printed when the router drains.
-#[derive(Clone, Debug)]
-pub struct RouterReport {
-    pub backends: usize,
-    /// Replicas per partition (backends are partition-major).
-    pub replicas: usize,
-    pub healthy: usize,
-    pub queries: u64,
-    pub degraded: u64,
-    pub hedges: u64,
-    pub epoch_rejects: u64,
-    pub rejoins: u64,
-    pub replica_failovers: u64,
-    pub replica_hedges_won: u64,
-    pub replica_hedges_lost: u64,
-    /// Cumulative per-stage time attribution across routed queries.
-    pub stages: StageBreakdown,
-    pub backend_replies: Vec<u64>,
-    pub backend_errors: Vec<u64>,
-}
-
-impl RouterReport {
-    /// Plain-text rendering for the CLI.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "router: {} queries over {} backends ({} partitions x {} replicas, {} healthy at drain)",
-            self.queries,
-            self.backends,
-            self.backends / self.replicas.max(1),
-            self.replicas,
-            self.healthy
-        );
-        let _ = writeln!(
-            out,
-            "  degraded {} | hedges {} | epoch rejects {} | rejoins {}",
-            self.degraded, self.hedges, self.epoch_rejects, self.rejoins
-        );
-        let _ = writeln!(
-            out,
-            "  replica failovers {} | hedges won {} | hedges lost {}",
-            self.replica_failovers, self.replica_hedges_won, self.replica_hedges_lost
-        );
-        if self.stages.total_ns() > 0 {
-            let _ = writeln!(out, "  stages: {}", self.stages.render_line());
-        }
-        for i in 0..self.backends {
-            let _ = writeln!(
-                out,
-                "  backend {i} (partition {} replica {}): {} replies, {} errors",
-                i / self.replicas.max(1),
-                i % self.replicas.max(1),
-                self.backend_replies[i],
-                self.backend_errors[i]
-            );
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Stats JSON and exposition the router rendered before both
+    /// moved onto [`RouterReport`], for [`pinned_metrics`].
+    const PINNED_JSON: &str = r##"{"role":"router","backends":4,"partitions":2,"replicas":2,"healthy":3,"epoch":7,"queries":11,"degraded":2,"hedges":3,"epoch_rejects":1,"rejoins":5,"replica_failovers":4,"stages":{"network_ns":100,"backend_wait_ns":300,"kernel_ns":500,"merge_ns":100,"network_pct":10,"backend_wait_pct":30,"kernel_pct":50,"merge_pct":10},"replica_hedges_won":6,"replica_hedges_lost":8,"backend_up":[1,0,1,1]}"##;
+    const PINNED_EXPOSITION_OUTSIDE_LATENCY: &str = r##"# HELP gsknn_router_queries_total Query requests routed (any outcome).
+# TYPE gsknn_router_queries_total counter
+gsknn_router_queries_total 11
+# HELP gsknn_router_degraded_total Merged answers shipped with partitions missing.
+# TYPE gsknn_router_degraded_total counter
+gsknn_router_degraded_total 2
+# HELP gsknn_router_hedges_total Hedged re-sends after a failed backend exchange.
+# TYPE gsknn_router_hedges_total counter
+gsknn_router_hedges_total 3
+# HELP gsknn_router_epoch_rejects_total Partials rejected for a mismatched partition-map epoch.
+# TYPE gsknn_router_epoch_rejects_total counter
+gsknn_router_epoch_rejects_total 1
+# HELP gsknn_router_rejoins_total Downed backends that rejoined after a successful probe.
+# TYPE gsknn_router_rejoins_total counter
+gsknn_router_rejoins_total 5
+# HELP gsknn_router_replica_failovers_total Fan-out writes failed over to a sibling replica.
+# TYPE gsknn_router_replica_failovers_total counter
+gsknn_router_replica_failovers_total 4
+# HELP gsknn_router_replica_hedges_won_total Hedged sibling replies folded in while the primary never answered.
+# TYPE gsknn_router_replica_hedges_won_total counter
+gsknn_router_replica_hedges_won_total 6
+# HELP gsknn_router_replica_hedges_lost_total Hedges wasted because the primary replica answered after all.
+# TYPE gsknn_router_replica_hedges_lost_total counter
+gsknn_router_replica_hedges_lost_total 8
+# HELP gsknn_router_stage_ns_total Routed-query time attributed per cross-tier stage, nanoseconds.
+# TYPE gsknn_router_stage_ns_total counter
+gsknn_router_stage_ns_total{stage="network"} 100
+gsknn_router_stage_ns_total{stage="backend_wait"} 300
+gsknn_router_stage_ns_total{stage="kernel"} 500
+gsknn_router_stage_ns_total{stage="merge"} 100
+# HELP gsknn_router_backend_up Backend health (1 = in the fan-out).
+# TYPE gsknn_router_backend_up gauge
+gsknn_router_backend_up{backend="0"} 1
+gsknn_router_backend_up{backend="1"} 0
+gsknn_router_backend_up{backend="2"} 1
+gsknn_router_backend_up{backend="3"} 1
+# HELP gsknn_router_replica_up Replica health by partition (1 = in the fan-out).
+# TYPE gsknn_router_replica_up gauge
+gsknn_router_replica_up{partition="0",replica="0"} 1
+gsknn_router_replica_up{partition="0",replica="1"} 0
+gsknn_router_replica_up{partition="1",replica="0"} 1
+gsknn_router_replica_up{partition="1",replica="1"} 1
+# HELP gsknn_router_backend_replies_total Partials folded into merged answers.
+# TYPE gsknn_router_backend_replies_total counter
+gsknn_router_backend_replies_total{backend="0"} 2
+gsknn_router_backend_replies_total{backend="1"} 0
+gsknn_router_backend_replies_total{backend="2"} 1
+gsknn_router_backend_replies_total{backend="3"} 0
+# HELP gsknn_router_backend_errors_total Failed backend exchanges.
+# TYPE gsknn_router_backend_errors_total counter
+gsknn_router_backend_errors_total{backend="0"} 0
+gsknn_router_backend_errors_total{backend="1"} 3
+gsknn_router_backend_errors_total{backend="2"} 0
+gsknn_router_backend_errors_total{backend="3"} 0
+"##;
+
+    /// Four backends (2 partitions × 2 replicas), every counter bumped,
+    /// backend 1 down.
+    fn pinned_metrics() -> (RouterMetrics, Vec<bool>) {
+        let m = RouterMetrics::new(4, 2);
+        for (c, v) in [
+            (&m.queries, 11),
+            (&m.degraded, 2),
+            (&m.hedges, 3),
+            (&m.epoch_rejects, 1),
+            (&m.rejoins, 5),
+            (&m.replica_failovers, 4),
+            (&m.replica_hedges_won, 6),
+            (&m.replica_hedges_lost, 8),
+        ] {
+            c.fetch_add(v, Ordering::Relaxed);
+        }
+        m.record_stages(&StageBreakdown {
+            network_ns: 100,
+            backend_wait_ns: 300,
+            kernel_ns: 500,
+            merge_ns: 100,
+        });
+        m.record_reply(0, Duration::from_micros(900));
+        m.record_reply(0, Duration::from_millis(2));
+        m.record_reply(2, Duration::from_millis(40));
+        m.backend(1).errors.fetch_add(3, Ordering::Relaxed);
+        (m, vec![true, false, true, true])
+    }
+
+    fn sorted_members(v: serde_json::Value) -> Vec<(String, serde_json::Value)> {
+        match v {
+            serde_json::Value::Object(mut members) => {
+                members.sort_by(|a, b| a.0.cmp(&b.0));
+                members
+            }
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    #[test]
+    fn stats_json_pins_keys_and_values() {
+        let (m, up) = pinned_metrics();
+        let json = m.report(up, 7).to_json();
+        let keys: Vec<&str> = match &json {
+            serde_json::Value::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "role",
+                "backends",
+                "partitions",
+                "replicas",
+                "healthy",
+                "epoch",
+                "queries",
+                "degraded",
+                "hedges",
+                "epoch_rejects",
+                "rejoins",
+                "replica_failovers",
+                "replica_hedges_won",
+                "replica_hedges_lost",
+                "stages",
+                "backend_up",
+            ]
+        );
+        assert_eq!(json.get("healthy").and_then(|v| v.as_u64()), Some(3));
+        assert_eq!(json.get("hedges").and_then(|v| v.as_u64()), Some(3));
+        assert_eq!(
+            sorted_members(json),
+            sorted_members(serde_json::from_str(PINNED_JSON).unwrap())
+        );
+    }
+
+    #[test]
+    fn exposition_outside_the_latency_family_is_pinned() {
+        let (m, up) = pinned_metrics();
+        let text = m.report(up, 7).render_prometheus();
+        let kept: String = text
+            .lines()
+            .filter(|l| !l.contains("gsknn_router_backend_latency_seconds"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(kept, PINNED_EXPOSITION_OUTSIDE_LATENCY);
+        // the latency family is a histogram whose _count is its +Inf bucket
+        assert!(text.contains("# TYPE gsknn_router_backend_latency_seconds histogram\n"));
+        assert!(text.contains(
+            "gsknn_router_backend_latency_seconds_bucket{backend=\"0\",le=\"+Inf\"} 2\n"
+        ));
+        assert!(text.contains("gsknn_router_backend_latency_seconds_count{backend=\"0\"} 2\n"));
+        assert!(
+            text.contains("gsknn_router_backend_latency_seconds_sum{backend=\"0\"} 0.002900000\n")
+        );
+    }
 
     #[test]
     fn exposition_carries_all_families_and_labels() {
@@ -386,7 +285,7 @@ mod tests {
         m.degraded.fetch_add(1, Ordering::Relaxed);
         m.record_reply(0, Duration::from_millis(2));
         m.backend(1).errors.fetch_add(1, Ordering::Relaxed);
-        let text = m.render_prometheus(&[true, false]);
+        let text = m.report(vec![true, false], 1).render_prometheus();
         assert!(text.contains("gsknn_router_queries_total 3"));
         assert!(text.contains("gsknn_router_degraded_total 1"));
         assert!(text.contains("gsknn_router_replica_failovers_total 0"));
@@ -418,15 +317,13 @@ mod tests {
             kernel_ns: 0,
             merge_ns: 0,
         });
-        let s = m.stages();
-        assert_eq!(s.totals(), [200, 300, 500, 100]);
-        let text = m.render_prometheus(&[true]);
+        let r = m.report(vec![true], 1);
+        assert_eq!(r.stages.totals(), [200, 300, 500, 100]);
+        let text = r.render_prometheus();
         assert!(text.contains("gsknn_router_stage_ns_total{stage=\"network\"} 200"));
         assert!(text.contains("gsknn_router_stage_ns_total{stage=\"backend_wait\"} 300"));
         assert!(text.contains("gsknn_router_stage_ns_total{stage=\"kernel\"} 500"));
         assert!(text.contains("gsknn_router_stage_ns_total{stage=\"merge\"} 100"));
-        let r = m.report(&[true]);
-        assert_eq!(r.stages.kernel_ns, 500);
         let table = r.render_table();
         assert!(table.contains("stages: network"));
         assert!(table.contains("merge"));
@@ -436,7 +333,9 @@ mod tests {
     fn replica_gauge_labels_are_partition_major() {
         let m = RouterMetrics::new(4, 2);
         m.replica_failovers.fetch_add(2, Ordering::Relaxed);
-        let text = m.render_prometheus(&[true, false, true, true]);
+        let text = m
+            .report(vec![true, false, true, true], 1)
+            .render_prometheus();
         // backend 1 is partition 0's replica 1; backend 2 is partition
         // 1's replica 0
         assert!(text.contains("gsknn_router_replica_up{partition=\"0\",replica=\"1\"} 0"));
@@ -459,9 +358,9 @@ mod tests {
     fn report_rolls_up_per_backend_tallies() {
         let m = RouterMetrics::new(3, 1);
         m.record_reply(2, Duration::from_micros(10));
-        let r = m.report(&[true, true, false]);
-        assert_eq!(r.backends, 3);
-        assert_eq!(r.healthy, 2);
+        let r = m.report(vec![true, true, false], 1);
+        assert_eq!(r.backends(), 3);
+        assert_eq!(r.healthy(), 2);
         assert_eq!(r.backend_replies, vec![0, 0, 1]);
         assert!(r
             .render_table()

@@ -2,8 +2,10 @@
 //! persistent backend pool, the scatter-gather query path, the health
 //! prober and the metrics listener.
 
-use crate::metrics::{RouterMetrics, RouterReport};
-use gsknn_obs::{align_spans, chrome_trace_json, StageBreakdown, Trace, TraceRing, TraceSpan};
+use crate::metrics::RouterMetrics;
+use gsknn_obs::{
+    align_spans, chrome_trace_json, RouterReport, StageBreakdown, Trace, TraceRing, TraceSpan,
+};
 use gsknn_scalar::GsknnScalar;
 use gsknn_serve::server::{install_sigterm, metrics_listener, sigterm_received};
 use gsknn_serve::wire::{
@@ -12,7 +14,6 @@ use gsknn_serve::wire::{
 };
 use gsknn_serve::{wire, Client};
 use knn_select::{encoded_len_of, merge_partial_tables, NeighborTable};
-use serde_json::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -116,13 +117,6 @@ impl Shared {
         self.health[i].store(up, Ordering::SeqCst);
     }
 
-    fn health_snapshot(&self) -> Vec<bool> {
-        self.health
-            .iter()
-            .map(|h| h.load(Ordering::SeqCst))
-            .collect()
-    }
-
     /// Replicas per partition (≥ 1).
     fn replicas(&self) -> usize {
         self.cfg.replicas.max(1)
@@ -144,41 +138,11 @@ impl Shared {
         order
     }
 
-    fn stats_json(&self) -> String {
-        let r = self.metrics.report(&self.health_snapshot());
-        Value::Object(vec![
-            ("role".into(), Value::String("router".into())),
-            ("backends".into(), Value::from(r.backends as u64)),
-            ("partitions".into(), Value::from(self.partitions() as u64)),
-            ("replicas".into(), Value::from(self.replicas() as u64)),
-            ("healthy".into(), Value::from(r.healthy as u64)),
-            ("epoch".into(), Value::from(self.cfg.epoch)),
-            ("queries".into(), Value::from(r.queries)),
-            ("degraded".into(), Value::from(r.degraded)),
-            ("hedges".into(), Value::from(r.hedges)),
-            ("epoch_rejects".into(), Value::from(r.epoch_rejects)),
-            ("rejoins".into(), Value::from(r.rejoins)),
-            ("replica_failovers".into(), Value::from(r.replica_failovers)),
-            ("stages".into(), r.stages.to_json()),
-            (
-                "replica_hedges_won".into(),
-                Value::from(r.replica_hedges_won),
-            ),
-            (
-                "replica_hedges_lost".into(),
-                Value::from(r.replica_hedges_lost),
-            ),
-            (
-                "backend_up".into(),
-                Value::Array(
-                    self.health_snapshot()
-                        .into_iter()
-                        .map(|u| Value::from(u as u64))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string()
+    /// The one snapshot every rendering reads: Stats JSON, the
+    /// exposition and the drain table.
+    fn report(&self) -> RouterReport {
+        let up = (0..self.health.len()).map(|i| self.up(i)).collect();
+        self.metrics.report(up, self.cfg.epoch)
     }
 }
 
@@ -264,7 +228,7 @@ impl Router {
             if let Some(addr) = shared.cfg.metrics_addr.clone() {
                 s.spawn(move || {
                     metrics_listener(&addr, "gsknn-router", &shared.shutdown, || {
-                        shared.metrics.render_prometheus(&shared.health_snapshot())
+                        shared.report().render_prometheus()
                     })
                 });
             }
@@ -288,7 +252,7 @@ impl Router {
             // scope join: handlers notice the shutdown flag on their next
             // read-timeout tick and exit
         });
-        shared.metrics.report(&shared.health_snapshot())
+        shared.report()
     }
 }
 
@@ -323,13 +287,12 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
                 }
             }
             Ok(Request::Ping) => Response::empty(Status::Ok),
-            Ok(Request::Stats) => Response::ok_body(shared.stats_json().into_bytes()),
-            Ok(Request::Metrics) => Response::ok_body(
-                shared
-                    .metrics
-                    .render_prometheus(&shared.health_snapshot())
-                    .into_bytes(),
-            ),
+            Ok(Request::Stats) => {
+                Response::ok_body(shared.report().to_json().to_string().into_bytes())
+            }
+            Ok(Request::Metrics) => {
+                Response::ok_body(shared.report().render_prometheus().into_bytes())
+            }
             Ok(Request::Traces) => Response::ok_body(
                 chrome_trace_json(&shared.traces.snapshot())
                     .to_string()
@@ -1086,7 +1049,7 @@ fn route_query_t<T: GsknnScalar>(
     shared.traces.offer(Trace {
         trace_id,
         lane: q.precision.name().to_string(),
-        status: status_label(resp.status).to_string(),
+        status: resp.status.label().to_string(),
         m: q.m,
         k: q.k,
         t0_us: (t_start - shared.t0).as_secs_f64() * 1e6,
@@ -1107,21 +1070,6 @@ fn backend_down(shared: &Shared, i: usize, b: &mut BackendConn, why: &str) {
     if shared.up(i) {
         shared.mark(i, false);
         eprintln!("gsknn-router: backend {i} ({}) down: {why}", b.addr);
-    }
-}
-
-/// Trace/metrics label for a wire status.
-fn status_label(s: Status) -> &'static str {
-    match s {
-        Status::Ok => "ok",
-        Status::Busy => "busy",
-        Status::Timeout => "timeout",
-        Status::ShuttingDown => "shutting_down",
-        Status::Error => "error",
-        Status::BadRequest => "bad_request",
-        Status::InternalError => "internal_error",
-        Status::OkDegraded => "ok_degraded",
-        Status::PartialTopK => "partial_topk",
     }
 }
 

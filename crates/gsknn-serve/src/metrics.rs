@@ -18,19 +18,6 @@ use std::time::Duration;
 /// Lane labels, indexed by lane (0 = f64, 1 = f32).
 pub const LANES: [&str; 2] = ["f64", "f32"];
 
-/// Terminal-status labels, indexed by the wire status discriminant.
-pub const STATUS_LABELS: [&str; 9] = [
-    "ok",
-    "busy",
-    "timeout",
-    "shutting_down",
-    "error",
-    "bad_request",
-    "internal_error",
-    "ok_degraded",
-    "partial_topk",
-];
-
 #[derive(Default)]
 struct CostSums {
     predicted_s: f64,
@@ -39,9 +26,10 @@ struct CostSums {
     terms: Vec<(String, f64)>,
 }
 
-/// Per-shard counters. Each shard thread bumps only its own entry, so
-/// the cache line never bounces between cores; the report reader sums
-/// them lazily. The per-shard roofline recorder keys its rows by shard
+/// Per-shard counters — the only home of the batch, query, panic and
+/// roofline counts. Each shard thread bumps only its own entry, so the
+/// cache line never bounces between cores; the report sums them into
+/// the server-wide totals and also keys the roofline rows by shard
 /// (`"s0/f64"`) so a single hot shard is visible in the merged report.
 #[derive(Default)]
 pub struct ShardStat {
@@ -64,16 +52,9 @@ pub struct ShardStat {
 #[derive(Default)]
 pub struct Metrics {
     pub requests: AtomicU64,
-    pub queries: AtomicU64,
     pub busy: AtomicU64,
     pub timeouts: AtomicU64,
     pub errors: AtomicU64,
-    pub batches: AtomicU64,
-    /// Worker batches that panicked (injected or organic); each one
-    /// answered its in-flight requests with `InternalError`.
-    pub worker_panics: AtomicU64,
-    /// Workers rebuilt with a fresh executor after a panic.
-    pub worker_respawns: AtomicU64,
     /// Queries answered from the f32 lane on behalf of f64 clients while
     /// the server was shedding load (`Status::OkDegraded`).
     pub degraded: AtomicU64,
@@ -86,26 +67,24 @@ pub struct Metrics {
     /// End-to-end request latency (frame received → reply written),
     /// log-bucketed, one histogram per lane × terminal status. Lock-free
     /// on the record path; rows with zero samples are skipped in reports.
-    latency: [[LatencyHistogram; STATUS_LABELS.len()]; LANES.len()],
+    latency: [[LatencyHistogram; Status::ALL.len()]; LANES.len()],
     /// Slowest trace id seen per latency bucket, per lane × status —
     /// surfaced as OpenMetrics exemplars so a histogram tail links
     /// straight to a fetchable distributed trace. Compiled out (and the
     /// record path a no-op) without `obs`.
     #[cfg(feature = "obs")]
-    exemplars: [[Exemplars; STATUS_LABELS.len()]; LANES.len()],
+    exemplars: [[Exemplars; Status::ALL.len()]; LANES.len()],
     in_flight: AtomicU64,
     queue_high_water: AtomicU64,
     cost: Mutex<CostSums>,
-    /// Per-batch roofline classification counters (lane × bound class
-    /// plus the headroom gauge); a zero-sized no-op without `obs`.
-    pub roofline: RooflineRecorder,
-    /// One entry per shard; empty until [`Metrics::for_shards`].
+    /// One entry per shard (a running server has at least one).
     pub shards: Vec<ShardStat>,
 }
 
 impl Metrics {
+    /// Counters for a one-shard server.
     pub fn new() -> Self {
-        Self::default()
+        Self::for_shards(1)
     }
 
     /// Counters for a server running `n` shards.
@@ -167,6 +146,8 @@ impl Metrics {
     /// Record one flush decision; `batch_m` is the query count that
     /// actually ran (0 when every held request had already timed out, in
     /// which case no kernel ran and only the flush reason is counted).
+    /// The batch and its queries count in the executing shard's
+    /// [`ShardStat`].
     pub fn record_flush(
         &self,
         reason: FlushReason,
@@ -184,8 +165,6 @@ impl Metrics {
         if batch_m == 0 {
             return;
         }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.queries.fetch_add(batch_m as u64, Ordering::Relaxed);
         self.hist[batch_bucket(batch_m)].fetch_add(1, Ordering::Relaxed);
         let mut cost = self.cost.lock().unwrap();
         cost.predicted_s += predicted_s;
@@ -209,20 +188,15 @@ impl Metrics {
         let _ = trace_id;
     }
 
-    /// Snapshot of one lane × status latency histogram (tests, slow-query
-    /// threshold checks).
-    pub fn latency_count(&self, lane: usize, status: Status) -> u64 {
-        self.latency[lane][status as usize].count()
-    }
-
     /// Snapshot as a report. `batch_targets` are the per-lane `m*`
     /// constants and `overloaded` the degradation flag (both live with
     /// the server, not the counters).
     pub fn report(&self, batch_targets: Vec<(String, usize)>, overloaded: bool) -> ServeReport {
         let cost = self.cost.lock().unwrap();
-        // the global per-lane rows first, then per-shard rows keyed
-        // "s<idx>/<lane>" (skipping shards that ran nothing)
-        let mut roofline = self.roofline.rows();
+        // the server-wide per-lane rows (shard sums) first, then
+        // per-shard rows keyed "s<idx>/<lane>" (skipping shards that ran
+        // nothing)
+        let mut roofline = RooflineRecorder::sum_rows(self.shards.iter().map(|s| &s.roofline));
         for (i, s) in self.shards.iter().enumerate() {
             roofline.extend(
                 s.roofline
@@ -231,16 +205,30 @@ impl Metrics {
                     .filter(|r| r.total() > 0),
             );
         }
+        let shards: Vec<ShardRow> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ShardRow {
+                shard: i,
+                batches: s.batches.load(Ordering::Relaxed),
+                queries: s.queries.load(Ordering::Relaxed),
+                worker_panics: s.worker_panics.load(Ordering::Relaxed),
+                worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
+                conns: s.conns.load(Ordering::Relaxed),
+            })
+            .collect();
+        let total = |f: fn(&ShardRow) -> u64| shards.iter().map(f).sum();
         ServeReport {
             precisions: batch_targets.iter().map(|(p, _)| p.clone()).collect(),
             requests: self.requests.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
+            queries: total(|s| s.queries),
             busy: self.busy.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
+            batches: total(|s| s.batches),
+            worker_panics: total(|s| s.worker_panics),
+            worker_respawns: total(|s| s.worker_respawns),
             degraded_queries: self.degraded.load(Ordering::Relaxed),
             overload_events: self.overload_events.load(Ordering::Relaxed),
             flushes: FlushCounts {
@@ -249,19 +237,7 @@ impl Metrics {
                 drain: self.flush_drain.load(Ordering::Relaxed),
             },
             roofline,
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ShardRow {
-                    shard: i,
-                    batches: s.batches.load(Ordering::Relaxed),
-                    queries: s.queries.load(Ordering::Relaxed),
-                    worker_panics: s.worker_panics.load(Ordering::Relaxed),
-                    worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
-                    conns: s.conns.load(Ordering::Relaxed),
-                })
-                .collect(),
+            shards,
             batch_hist: self
                 .hist
                 .iter()
@@ -282,12 +258,12 @@ impl Metrics {
     fn latency_rows(&self) -> Vec<LatencyRow> {
         let mut rows = Vec::new();
         for (li, lane) in LANES.iter().enumerate() {
-            for (si, status) in STATUS_LABELS.iter().enumerate() {
+            for (si, status) in Status::ALL.iter().enumerate() {
                 let hist = self.latency[li][si].snapshot();
                 if hist.count() > 0 {
                     rows.push(LatencyRow {
                         lane: lane.to_string(),
-                        status: status.to_string(),
+                        status: status.label().to_string(),
                         hist,
                         #[cfg(feature = "obs")]
                         exemplars: self.exemplars[li][si].snapshot(),
@@ -345,8 +321,6 @@ mod tests {
         m.record_flush(FlushReason::Drain, 0, 0.0, 0.0, &[]); // all timed out
 
         let r = m.report(vec![("f64".into(), 32)], false);
-        assert_eq!(r.batches, 2);
-        assert_eq!(r.queries, 33);
         assert_eq!(r.flushes.model, 1);
         assert_eq!(r.flushes.deadline, 1);
         assert_eq!(r.flushes.drain, 1);
@@ -364,7 +338,7 @@ mod tests {
         use gsknn_core::{MachineParams, Model};
         let m = Metrics::new();
         let model = Model::new(MachineParams::ivy_bridge_1core());
-        m.roofline.record_batch(
+        m.shards[0].roofline.record_batch(
             0,
             8,
             &model,
@@ -380,7 +354,8 @@ mod tests {
             0,
         );
         let r = m.report(vec![("f64".into(), 64)], false);
-        assert_eq!(r.roofline.len(), 2);
+        // 2 server-wide lane rows + the shard's non-empty f64 row
+        assert_eq!(r.roofline.len(), 3);
         assert_eq!(r.roofline[0].lane, "f64");
         assert_eq!(r.roofline[0].total(), 1);
         assert_eq!(
@@ -388,6 +363,8 @@ mod tests {
             1
         );
         assert_eq!(r.roofline[1].total(), 0, "f32 lane saw no batches");
+        assert_eq!(r.roofline[2].lane, "s0/f64");
+        assert_eq!(r.roofline[2].counts, r.roofline[0].counts);
     }
 
     #[cfg(not(feature = "obs"))]
@@ -406,9 +383,6 @@ mod tests {
         m.record_latency(0, Status::Ok, Duration::from_micros(900), 0xA1);
         m.record_latency(0, Status::Ok, Duration::from_micros(1_100), 0xA2);
         m.record_latency(1, Status::Timeout, Duration::from_millis(55), 0xA3);
-        assert_eq!(m.latency_count(0, Status::Ok), 2);
-        assert_eq!(m.latency_count(1, Status::Ok), 0);
-
         let r = m.report(vec![("f64".into(), 32), ("f32".into(), 48)], true);
         assert!(r.overloaded);
         assert_eq!(r.latency.len(), 2, "empty lane × status cells skipped");
@@ -462,6 +436,33 @@ mod tests {
         m.shards[1].worker_panics.fetch_add(1, Ordering::Relaxed);
         m.shards[1].worker_respawns.fetch_add(1, Ordering::Relaxed);
         m.shards[1].conns.fetch_add(4, Ordering::Relaxed);
+        m.shards[1].batches.fetch_add(2, Ordering::Relaxed);
+        m.shards[1].queries.fetch_add(5, Ordering::Relaxed);
+        m.shards[0].worker_panics.fetch_add(2, Ordering::Relaxed);
+        #[cfg(feature = "obs")]
+        {
+            use gsknn_core::{MachineParams, Model};
+            let model = Model::new(MachineParams::ivy_bridge_1core());
+            for (shard, lane, m_batch, measured) in
+                [(0, 0, 2, 0.004), (1, 0, 64, 0.0001), (1, 1, 3, 0.02)]
+            {
+                m.shards[shard].roofline.record_batch(
+                    lane,
+                    8,
+                    &model,
+                    4,
+                    512,
+                    m_batch,
+                    16,
+                    8,
+                    64,
+                    FlushReason::Deadline,
+                    measured,
+                    &gsknn_core::obs::PhaseSet::default(),
+                    0,
+                );
+            }
+        }
         let r = m.report(vec![("f64".into(), 32)], false);
         assert_eq!(r.shards.len(), 2);
         assert_eq!(
@@ -476,6 +477,32 @@ mod tests {
             ),
             (1, 1, 4)
         );
+        // the server-wide counters are the shard sums
+        assert_eq!(
+            (r.batches, r.queries, r.worker_panics, r.worker_respawns),
+            (5, 14, 3, 1)
+        );
+        // and so are the server-wide per-lane roofline rows, in lane order
+        #[cfg(feature = "obs")]
+        for (li, lane) in LANES.iter().enumerate() {
+            let global = &r.roofline[li];
+            assert_eq!(global.lane, *lane);
+            let shard_rows: Vec<_> = r.roofline[LANES.len()..]
+                .iter()
+                .filter(|row| row.lane.ends_with(&format!("/{lane}")))
+                .collect();
+            let mut counts = [0u64; 4];
+            for row in &shard_rows {
+                for (c, v) in counts.iter_mut().zip(row.counts) {
+                    *c += v;
+                }
+            }
+            assert_eq!(global.counts, counts, "{lane}");
+            let headroom: f64 = shard_rows.iter().map(|row| row.headroom_sum).sum();
+            assert!((global.headroom_sum - headroom).abs() < 1e-9, "{lane}");
+        }
+        #[cfg(feature = "obs")]
+        assert_eq!(r.roofline[0].total(), 2, "one f64 batch per shard");
     }
 
     #[cfg(feature = "obs")]

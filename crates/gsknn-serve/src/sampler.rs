@@ -272,10 +272,6 @@ pub struct RooflineRecorder {
 }
 
 impl RooflineRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Classify one executed batch and bump the lane's counters.
     ///
     /// `model` is the lane's `for_scalar`-rescaled model, `leaf_n` the
@@ -372,37 +368,48 @@ impl RooflineRecorder {
         })
     }
 
-    /// Per-lane aggregate rows for the report. Empty when `obs` is
-    /// compiled out, one row per lane otherwise.
-    pub fn rows(&self) -> Vec<RooflineRow> {
+    /// Per-lane aggregate rows summed over `recorders` (the server-wide
+    /// rows from the per-shard recorders). Exact: counts and the
+    /// fixed-point headroom are summed as integers before the one
+    /// conversion. Empty when `obs` is compiled out, one row per lane
+    /// otherwise.
+    pub(crate) fn sum_rows<'a>(
+        recorders: impl IntoIterator<Item = &'a RooflineRecorder>,
+    ) -> Vec<RooflineRow> {
         #[cfg(feature = "obs")]
         {
+            let mut counts = [[0u64; 4]; 2];
+            let mut milli = [0u64; 2];
+            for r in recorders {
+                for li in 0..LANES.len() {
+                    for (ci, c) in counts[li].iter_mut().enumerate() {
+                        *c += r.counts[li][ci].load(Ordering::Relaxed);
+                    }
+                    milli[li] += r.headroom_milli[li].load(Ordering::Relaxed);
+                }
+            }
             LANES
                 .iter()
                 .enumerate()
-                .map(|(li, lane)| {
-                    let mut counts = [0u64; 4];
-                    for (ci, c) in counts.iter_mut().enumerate() {
-                        *c = self.counts[li][ci].load(Ordering::Relaxed);
-                    }
-                    RooflineRow {
-                        lane: lane.to_string(),
-                        counts,
-                        headroom_sum: self.headroom_milli[li].load(Ordering::Relaxed) as f64 / 1e3,
-                    }
+                .map(|(li, lane)| RooflineRow {
+                    lane: lane.to_string(),
+                    counts: counts[li],
+                    headroom_sum: milli[li] as f64 / 1e3,
                 })
                 .collect()
         }
         #[cfg(not(feature = "obs"))]
         {
+            let _ = recorders;
             Vec::new()
         }
     }
 
-    /// [`Self::rows`] with lane labels prefixed (`"s0/f64"`): per-shard
-    /// recorders stay distinguishable when merged into one report.
+    /// This recorder's rows with lane labels prefixed (`"s0/f64"`):
+    /// per-shard recorders stay distinguishable when merged into one
+    /// report.
     pub fn rows_keyed(&self, prefix: &str) -> Vec<RooflineRow> {
-        let mut rows = self.rows();
+        let mut rows = Self::sum_rows([self]);
         for r in &mut rows {
             r.lane = format!("{prefix}/{}", r.lane);
         }
@@ -431,8 +438,8 @@ mod tests {
             doc.get("samples").and_then(|v| v.as_array()).map(Vec::len),
             Some(0)
         );
-        let r = RooflineRecorder::new();
-        assert!(r.rows().is_empty());
+        let r = RooflineRecorder::default();
+        assert!(RooflineRecorder::sum_rows([&r]).is_empty());
     }
 
     #[cfg(feature = "obs")]
@@ -487,7 +494,7 @@ mod tests {
     #[test]
     fn roofline_recorder_classifies_undersized_deadline_flushes() {
         use gsknn_core::{MachineParams, Model};
-        let r = RooflineRecorder::new();
+        let r = RooflineRecorder::default();
         let model = Model::new(MachineParams::ivy_bridge_1core());
         // tiny batch, huge target, deadline flush, slow measurement
         r.record_batch(
@@ -521,7 +528,7 @@ mod tests {
             &PhaseSet::default(),
             0,
         );
-        let rows = r.rows();
+        let rows = RooflineRecorder::sum_rows([&r]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].lane, "f64");
         assert_eq!(

@@ -45,7 +45,7 @@
 
 use crate::coalesce::{adaptive_should_flush, predict_batch_cost_into, ArrivalRate, FlushReason};
 use crate::degrade::degraded_target;
-use crate::metrics::{ShardStat, LANES, STATUS_LABELS};
+use crate::metrics::{ShardStat, LANES};
 use crate::mux::{poll_fds, raw_fd, PollFd, POLLIN, POLLOUT};
 use crate::server::{ServeIndex, Shared};
 use crate::trace::ReqTrace;
@@ -445,7 +445,6 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     let forest_table = match result {
         Ok(t) => t,
         Err(_) => {
-            shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
             stat.worker_panics.fetch_add(1, Ordering::Relaxed);
             for job in pending.jobs.iter_mut().filter(|j| !j.dead) {
                 shared.metrics.release(job.m);
@@ -461,10 +460,6 @@ pub(crate) fn flush_lane<T: FusedScalar>(
             // exactly like a legacy worker respawn.
             *exec = Gsknn::new(kernel_cfg.clone());
             *scratch = BatchScratch::new();
-            shared
-                .metrics
-                .worker_respawns
-                .fetch_add(1, Ordering::Relaxed);
             stat.worker_respawns.fetch_add(1, Ordering::Relaxed);
             pending.clear();
             return;
@@ -480,21 +475,6 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     // roofline attribution + time-series feed (no-ops without `obs`);
     // backlog = query points still admitted beyond this batch
     let backlog = shared.metrics.in_flight().saturating_sub(m_live as u64) as usize;
-    shared.metrics.roofline.record_batch(
-        lane_idx,
-        T::BYTES,
-        model,
-        n_trees,
-        leaf_n,
-        m_live,
-        dim,
-        k_batch,
-        target,
-        reason,
-        measured,
-        &phases,
-        backlog,
-    );
     stat.roofline.record_batch(
         lane_idx,
         T::BYTES,
@@ -1207,7 +1187,7 @@ fn finish_query_trace(
     total: Duration,
 ) {
     let lane = LANES[lane_idx];
-    let status_label = STATUS_LABELS[status as usize];
+    let status_label = status.label();
     let slow = shared
         .slow_query_ms
         .is_some_and(|ms| total >= Duration::from_millis(ms));

@@ -24,7 +24,7 @@
 //!           PartialTopK:          PartialTopK envelope: a per-partition
 //!                                 top-k heap payload from a backend running
 //!                                 in partition mode (ids already global)
-//!           Ok(Stats):            ServeReport JSON (UTF-8)
+//!           Ok(Stats):            ServeReport / RouterReport JSON (UTF-8)
 //!           Ok(Metrics):          Prometheus text exposition (UTF-8)
 //!           Ok(Traces):           Chrome trace-event JSON (UTF-8)
 //!           Ok(TimeSeries):       load time-series JSON (UTF-8)
@@ -307,19 +307,40 @@ pub enum Status {
 }
 
 impl Status {
+    /// Every status, in discriminant order (`ALL[s as usize] == s`).
+    pub(crate) const ALL: [Status; 9] = [
+        Status::Ok,
+        Status::Busy,
+        Status::Timeout,
+        Status::ShuttingDown,
+        Status::Error,
+        Status::BadRequest,
+        Status::InternalError,
+        Status::OkDegraded,
+        Status::PartialTopK,
+    ];
+
+    /// The status's metrics and trace label — the one mapping latency
+    /// histograms, slow-query lines and router traces all use.
+    pub fn label(self) -> &'static str {
+        match self {
+            Status::Ok => "ok",
+            Status::Busy => "busy",
+            Status::Timeout => "timeout",
+            Status::ShuttingDown => "shutting_down",
+            Status::Error => "error",
+            Status::BadRequest => "bad_request",
+            Status::InternalError => "internal_error",
+            Status::OkDegraded => "ok_degraded",
+            Status::PartialTopK => "partial_topk",
+        }
+    }
+
     fn from_byte(b: u8) -> Result<Self, WireError> {
-        Ok(match b {
-            0 => Status::Ok,
-            1 => Status::Busy,
-            2 => Status::Timeout,
-            3 => Status::ShuttingDown,
-            4 => Status::Error,
-            5 => Status::BadRequest,
-            6 => Status::InternalError,
-            7 => Status::OkDegraded,
-            8 => Status::PartialTopK,
-            other => return Err(WireError::BadStatus(other)),
-        })
+        Status::ALL
+            .get(usize::from(b))
+            .copied()
+            .ok_or(WireError::BadStatus(b))
     }
 }
 
@@ -951,6 +972,30 @@ mod tests {
             let bytes = encode_request(&req);
             assert_eq!(decode_request(&bytes).unwrap(), req, "{req:?}");
         }
+    }
+
+    #[test]
+    fn status_labels_cover_every_discriminant() {
+        let labels: Vec<&str> = Status::ALL.iter().map(|s| s.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "ok",
+                "busy",
+                "timeout",
+                "shutting_down",
+                "error",
+                "bad_request",
+                "internal_error",
+                "ok_degraded",
+                "partial_topk",
+            ]
+        );
+        for (i, &s) in Status::ALL.iter().enumerate() {
+            assert_eq!(s as usize, i, "ALL is in discriminant order");
+            assert_eq!(Status::from_byte(i as u8).ok(), Some(s));
+        }
+        assert!(Status::from_byte(Status::ALL.len() as u8).is_err());
     }
 
     #[test]
