@@ -109,6 +109,12 @@ impl<T: GsknnScalar> PointSet<T> {
         &self.sqnorms
     }
 
+    /// The raw column-major buffer and the `X2` table, by value — for a
+    /// consumer that rewrites the coordinates in place.
+    pub fn into_parts(self) -> (Vec<T>, Vec<T>) {
+        (self.data, self.sqnorms)
+    }
+
     /// Gather a dense column-major `d × idx.len()` matrix `X(:, idx)` —
     /// the explicit collection step of the GEMM approach (Algorithm 2.1),
     /// which GSKNN avoids.

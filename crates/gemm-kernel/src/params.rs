@@ -6,6 +6,8 @@
 
 use crate::microkernel::{MR, NR};
 use gsknn_scalar::GsknnScalar;
+use std::io::{Read, Write};
+use std::sync::OnceLock;
 
 /// Blocking parameters for the five-loop nest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,25 +47,38 @@ impl CacheSizes {
 
     /// Read the running CPU's caches from sysfs (Linux); `None` when the
     /// hierarchy cannot be determined (fall back to
-    /// [`CacheSizes::ivy_bridge`]).
+    /// [`CacheSizes::ivy_bridge`]). Read once per process, into stack
+    /// buffers: every [`GemmParams::native_for`] after the first is a
+    /// load, and none touches the heap.
     pub fn detect() -> Option<Self> {
-        fn read_kb(path: &str) -> Option<usize> {
-            let s = std::fs::read_to_string(path).ok()?;
-            let t = s.trim();
-            let kb: usize = t.strip_suffix('K')?.parse().ok()?;
-            Some(kb * 1024)
+        static DETECTED: OnceLock<Option<CacheSizes>> = OnceLock::new();
+        *DETECTED.get_or_init(Self::read_sysfs)
+    }
+
+    fn read_sysfs() -> Option<Self> {
+        /// `/sys/devices/system/cpu/cpu0/cache/index{idx}/{leaf}`, trimmed.
+        fn read<'b>(idx: usize, leaf: &str, buf: &'b mut [u8; 32]) -> Option<&'b str> {
+            let mut path = [0u8; 64];
+            let len = {
+                let mut rest = &mut path[..];
+                write!(rest, "/sys/devices/system/cpu/cpu0/cache/index{idx}/{leaf}").ok()?;
+                64 - rest.len()
+            };
+            let path = std::str::from_utf8(&path[..len]).ok()?;
+            let n = std::fs::File::open(path).ok()?.read(buf).ok()?;
+            std::str::from_utf8(&buf[..n]).ok().map(str::trim)
         }
-        let base = "/sys/devices/system/cpu/cpu0/cache";
         let mut l1d = None;
         let mut l2 = None;
         let mut l3 = None;
+        let (mut level, mut ctype, mut size) = ([0u8; 32], [0u8; 32], [0u8; 32]);
         for idx in 0..8 {
-            let level = std::fs::read_to_string(format!("{base}/index{idx}/level")).ok();
-            let ctype = std::fs::read_to_string(format!("{base}/index{idx}/type")).ok();
-            let size = read_kb(&format!("{base}/index{idx}/size"));
+            let size = read(idx, "size", &mut size)
+                .and_then(|s| s.strip_suffix('K')?.parse::<usize>().ok())
+                .map(|kb| kb * 1024);
             match (
-                level.as_deref().map(str::trim),
-                ctype.as_deref().map(str::trim),
+                read(idx, "level", &mut level),
+                read(idx, "type", &mut ctype),
             ) {
                 (Some("1"), Some("Data")) => l1d = size,
                 (Some("2"), _) => l2 = size,

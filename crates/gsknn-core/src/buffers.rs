@@ -104,9 +104,11 @@ pub struct ChunkScratch<T: GsknnScalar = f64> {
 pub struct GsknnWorkspace<T: GsknnScalar = f64> {
     /// Query-side scratch of the 4th loop when it runs in place (`p = 1`).
     pub chunk: ChunkScratch<T>,
-    /// Packed reference panel `Rc` (`⌈ncb/NR⌉·NR × dcb`, Z-shape).
+    /// Packed reference panel `Rc` (`⌈ncb/NR⌉·NR × dcb`, Z-shape) of a
+    /// gathering call; a call against [`crate::PackedRefs`] borrows its
+    /// panels and never sizes this.
     pub r_pack: AlignedBuf<T>,
-    /// Gathered reference squared norms `R2c` (`ncb`, NR-padded).
+    /// Gathered reference squared norms `R2c` (`ncb`, NR-padded), likewise.
     pub r2_pack: AlignedBuf<T>,
     /// Rank-dc accumulation buffer `Cc` (only used when `d > dc`, or by
     /// the buffered variants Var#2/3/5/6 as their distance store).

@@ -6,8 +6,9 @@
 use crate::buffers::{GsknnWorkspace, KernelStats};
 use crate::microkernel::FusedScalar;
 use crate::obs::{Phase, PhaseSet};
+use crate::packing::PackedRefs;
 use crate::params::Variant;
-use crate::variants::{run_nest, DriverArgs, SelHeap};
+use crate::variants::{run_nest, DriverArgs, RefSource, SelHeap};
 use dataset::{DistanceKind, PointSet};
 use gemm_kernel::GemmParams;
 use gsknn_scalar::GsknnScalar;
@@ -225,13 +226,34 @@ impl<T: FusedScalar> Gsknn<T> {
     ) {
         let args = DriverArgs {
             xq,
-            xr,
             q_idx,
-            r_idx,
+            refs: RefSource::Gather { x: xr, idx: r_idx },
             kind,
             params: self.cfg.params,
             variant: self.cfg.variant,
         };
+        self.update_nest(&args, table, scratch, 1)
+    }
+
+    /// [`Gsknn::update_cross_reusing`] against references packed once
+    /// ([`PackedRefs`]): the nest borrows each `(jc, pc)` block of `refs`
+    /// instead of gather-packing it, so a call pays pack-Q, rank-dc and
+    /// selection only, and the workspace never sizes an `Rc` buffer. It
+    /// runs under the blocking the panels were packed with
+    /// ([`PackedRefs::params`]), not the configured one; under equal
+    /// blocking the rows are the bits `update_cross_reusing` returns over
+    /// the same references and ids. Reference ids were checked when `refs`
+    /// was packed; only the queries are checked here.
+    pub fn update_prepacked(
+        &mut self,
+        xq: &PointSet<T>,
+        q_idx: &[usize],
+        refs: &PackedRefs<T>,
+        kind: DistanceKind,
+        table: &mut NeighborTable<T>,
+        scratch: &mut BatchScratch<T>,
+    ) {
+        let args = DriverArgs::prepacked(xq, q_idx, refs, kind, self.cfg.variant);
         self.update_nest(&args, table, scratch, 1)
     }
 
@@ -316,7 +338,7 @@ impl<T: FusedScalar> Gsknn<T> {
         assert_eq!(table.len(), args.q_idx.len(), "one table row per query");
         assert_eq!(
             args.xq.dim(),
-            args.xr.dim(),
+            args.r_dim(),
             "query/reference dimension mismatch"
         );
         let in_bounds = |x: &PointSet<T>, idx: &[usize]| idx.iter().all(|&i| i < x.len());
@@ -325,11 +347,13 @@ impl<T: FusedScalar> Gsknn<T> {
             "query index out of bounds (N = {})",
             args.xq.len()
         );
-        assert!(
-            in_bounds(args.xr, args.r_idx),
-            "reference index out of bounds (N = {})",
-            args.xr.len()
-        );
+        if let RefSource::Gather { x, idx } = args.refs {
+            assert!(
+                in_bounds(x, idx),
+                "reference index out of bounds (N = {})",
+                x.len()
+            );
+        }
         // §2.4: Var#1 pairs with the binary heap (small k), Var#6 with the
         // padded 4-heap (large k).
         let heaps = scratch.seed(table, args.variant == Variant::Var6);
@@ -399,6 +423,53 @@ mod tests {
         check::<f64>(8, Variant::Var1); // binary heap
         check::<f32>(8, Variant::Var1);
         check::<f64>(600, Variant::Var6); // 4-heap, k > n
+    }
+
+    #[test]
+    fn prepacked_update_is_the_gathered_update_without_an_rc_buffer() {
+        fn check<T: FusedScalar>(d: usize, dc: usize) {
+            let x64 = uniform(300, d, 41);
+            let x: PointSet<T> = x64.cast();
+            let r: Vec<usize> = (0..300).collect();
+            let params = GemmParams {
+                dc,
+                ..GemmParams::tiny_for::<T>()
+            };
+            let mut gathered = Gsknn::<T>::new(GsknnConfig {
+                params,
+                ..GsknnConfig::default()
+            });
+            // the prepacked call takes its blocking from the panels, not
+            // from its own configuration
+            let mut prepacked = Gsknn::<T>::new(GsknnConfig::default());
+            let packed = PackedRefs::<T>::pack(&x64, r.clone(), params);
+            let mut scratch = BatchScratch::new();
+            for (cycle, m) in [40usize, 7, 64].into_iter().enumerate() {
+                let q: Vec<usize> = (0..m).map(|i| (i * 7 + cycle) % 300).collect();
+                let mut want = NeighborTable::<T>::new(m, 5);
+                gathered.update_cross(&x, &q, &x, &r, DistanceKind::SqL2, &mut want);
+                let mut got = NeighborTable::<T>::new(m, 5);
+                prepacked.update_prepacked(
+                    &x,
+                    &q,
+                    &packed,
+                    DistanceKind::SqL2,
+                    &mut got,
+                    &mut scratch,
+                );
+                for i in 0..m {
+                    assert_eq!(got.row(i), want.row(i), "{} m={m} row {i}", T::NAME);
+                }
+                assert_eq!(prepacked.last_stats(), gathered.last_stats());
+            }
+            assert_eq!(prepacked.ws.r_pack.len(), 0, "no Rc buffer");
+            assert_eq!(prepacked.ws.r2_pack.len(), 0, "no R2c buffer");
+        }
+        // d <= dc (one pass) and d > dc (a Cc prior)
+        check::<f64>(10, 16);
+        check::<f32>(10, 16);
+        check::<f64>(21, 8);
+        check::<f32>(21, 8);
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub use kernel::{BatchScratch, Gsknn, GsknnConfig};
 pub use microkernel::FusedScalar;
 pub use model::{MachineParams, Model, ProblemSize};
 pub use obs::{Phase, PhaseSet};
+pub use packing::PackedRefs;
 pub use params::Variant;
 
 // Re-export the types a caller needs to drive the kernel.

@@ -26,6 +26,10 @@
 //!   crossover (k < 24) Var#1 still pushes into a binary heap and pays
 //!   the paper's `2·τl·ε·mk·log₂k` random-access term, as GEMM does at
 //!   every k.
+//! * `Tm^Var1,prepacked = Tm^Var1 − τb·n` — the same call against
+//!   references packed once ([`crate::PackedRefs`]): the `Rc`/`R2c` term
+//!   becomes one read of the stored panels and norms, `τb(nd + n)`,
+//!   instead of the gather-pack `τb(nd + 2n)`.
 //! * `Tm^Var6 = Tm^pack + 2τb·ε·mk·log₂k + τb·mn + 2τb·m(k + ε·k·log₂k)`
 //!   — Eq. (4): storing `C` once; the 4-heap touches one cache line per
 //!   level, so its heap term uses the contiguous rate (§2.6 "for a
@@ -115,6 +119,10 @@ pub struct ProblemSize {
 pub enum Approach {
     /// GSKNN Var#1 (fused tile selection, binary heap).
     Var1,
+    /// GSKNN Var#1 against references packed once
+    /// ([`crate::Gsknn::update_prepacked`]): no per-call gather-pack of
+    /// `Rc`/`R2c`, one read of the panels instead.
+    Var1Prepacked,
     /// GSKNN Var#6 (post-hoc selection, 4-heap, stores `C`).
     Var6,
     /// Algorithm 2.1: GEMM + post-hoc selection.
@@ -279,7 +287,10 @@ impl Model {
         let mach = &self.machine;
         let jc_blocks = (p.n as f64 / self.blocks.nc as f64).ceil().max(1.0);
         let d_blocks = (p.d as f64 / self.blocks.dc as f64).ceil().max(1.0);
-        term("pack Rc + R2c", mach.tau_b * (n * d + 2.0 * n));
+        match which {
+            Approach::Var1Prepacked => term("read prepacked Rc + R2c", mach.tau_b * (n * d + n)),
+            _ => term("pack Rc + R2c", mach.tau_b * (n * d + 2.0 * n)),
+        }
         term(
             "pack Qc + Qc2 (per jc block)",
             mach.tau_b * (d * m + 2.0 * m) * jc_blocks,
@@ -290,14 +301,14 @@ impl Model {
         let adjustments = mach.epsilon * m * k * Self::logk(p.k);
         let store_rows = pair * m * k;
         match which {
-            Approach::Var1 if p.k < crate::variants::RESERVOIR_MIN_K => {
+            Approach::Var1 | Approach::Var1Prepacked if p.k < crate::variants::RESERVOIR_MIN_K => {
                 term(
                     "heap (binary, random access)",
                     2.0 * mach.tau_l * adjustments,
                 );
                 term("writeback", store_rows + pair * adjustments);
             }
-            Approach::Var1 => {
+            Approach::Var1 | Approach::Var1Prepacked => {
                 let (appends, compactions) = Self::reservoir_row(p.n, p.k, jc_blocks);
                 term("reservoir appends", pair * m * appends);
                 term("reservoir compactions", pair * m * compactions * 2.0 * k);
@@ -500,6 +511,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn prepacked_references_are_read_once_not_gathered() {
+        let model = model();
+        let ps = p(32, 32768, 64, 16);
+        let name = |a| {
+            let terms = model.tm_terms(&ps, a);
+            (terms[0].0, terms.len())
+        };
+        assert_eq!(name(Approach::Var1), ("pack Rc + R2c", 5));
+        assert_eq!(
+            name(Approach::Var1Prepacked),
+            ("read prepacked Rc + R2c", 5)
+        );
+        let saved =
+            model.predict(&ps, Approach::Var1) - model.predict(&ps, Approach::Var1Prepacked);
+        let tau_n = model.machine().tau_b * 32768.0;
+        assert!((saved - tau_n).abs() <= 1e-12 * tau_n, "{saved} vs {tau_n}");
     }
 
     #[test]

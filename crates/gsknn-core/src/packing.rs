@@ -6,9 +6,16 @@
 //! baseline for (Eq. 5). Generic over the element type: the micro-panel
 //! widths come from the type's own tile (`MR×NR` = 8×4 for f64, 8×8 for
 //! f32), so the same packing serves both precisions.
+//!
+//! A call packs each `Rc` once and every query of the call reuses it; a
+//! table that *every* call searches whole (a flat serving index) is packed
+//! once for all calls instead — [`PackedRefs`], the reference-stationary
+//! form, laid out by the same routine and normed by the same fold.
 
 use dataset::PointSet;
+use gemm_kernel::GemmParams;
 use gsknn_scalar::GsknnScalar;
+use std::ops::Range;
 
 /// Gather-pack the query-side panel `Qc`: points `q_idx[ic .. ic+mcb]`,
 /// coordinates `pc .. pc+dcb`, as `T::MR`-wide micro-panels (element
@@ -52,16 +59,32 @@ fn gather_pack<T: GsknnScalar>(
     w: usize,
     out: &mut [T],
 ) {
+    debug_assert!(c0 + cols <= idx.len());
+    let slab = |i: usize| x.point_slab(idx[c0 + i], pc, dcb);
+    lay_out_panel(slab, |v| v, cols, dcb, w, out)
+}
+
+/// Lay `cols` points out as `w`-wide micro-panels of `dcb` coordinates
+/// (element `(i, p)` of micro-panel `ib` at `ib*w*dcb + p*w + i`), fringe
+/// zero-padded; `slab(i)` is point `i`'s `dcb` coordinates, each converted
+/// by `to_t`.
+#[inline(always)]
+fn lay_out_panel<'x, S: GsknnScalar + 'x, T: GsknnScalar>(
+    slab: impl Fn(usize) -> &'x [S],
+    to_t: impl Fn(S) -> T,
+    cols: usize,
+    dcb: usize,
+    w: usize,
+    out: &mut [T],
+) {
     let blocks = cols.div_ceil(w);
     assert_eq!(out.len(), blocks * w * dcb, "packed buffer size mismatch");
-    debug_assert!(c0 + cols <= idx.len());
     for ib in 0..blocks {
         let base = ib * w * dcb;
         let width = (cols - ib * w).min(w);
         for i in 0..width {
-            let src = x.point_slab(idx[c0 + ib * w + i], pc, dcb);
-            for (p, &v) in src.iter().enumerate() {
-                out[base + p * w + i] = v;
+            for (p, &v) in slab(ib * w + i).iter().enumerate() {
+                out[base + p * w + i] = to_t(v);
             }
         }
         // fringe zero-padding so the micro-kernel runs full tiles
@@ -91,6 +114,205 @@ pub fn pack_sqnorms<T: GsknnScalar>(
     }
     for slot in out[cols..].iter_mut() {
         *slot = T::ZERO;
+    }
+}
+
+/// A reference set packed once into the `Rc` micro-panels and `R2c` norms
+/// of every `(jc, pc)` block of the nest, in loop order — what
+/// [`crate::Gsknn::update_prepacked`] borrows block by block instead of
+/// gather-packing per call, under the blocking the panels were packed with
+/// ([`PackedRefs::params`]).
+///
+/// Layout, with `ncb = min(nc, n − jc)` and `ncb⁺ = ⌈ncb/NR⌉·NR`: block
+/// `jc` starts at element `jc·d` of [`PackedRefs::panels`] (every block
+/// before it holds `nc` points, a multiple of `NR`), its `(jc, pc)` panel
+/// — laid out as [`pack_r_panel`] writes it — at `jc·d + ncb⁺·pc`, and its
+/// `R2c` is `norms[jc .. jc + ncb⁺]`. A block whose `ncb` is a multiple of
+/// `NR` fills exactly the elements of its rows, so `n` points take
+/// `⌈n/NR⌉·NR·d` elements: one copy of the table.
+#[derive(Clone, Debug)]
+pub struct PackedRefs<T: GsknnScalar = f64> {
+    params: GemmParams,
+    d: usize,
+    panels: Vec<T>,
+    norms: Vec<T>,
+    ids: Vec<usize>,
+}
+
+impl<T: GsknnScalar> PackedRefs<T> {
+    /// Pack points `r_idx` of `x` under `params`, converting each
+    /// coordinate to `T` (an f64 table packs straight into f32 panels, with
+    /// the norms [`PointSet::cast`] would compute). The ids are checked
+    /// here, once, rather than on every call, and kept as
+    /// [`PackedRefs::ids`].
+    ///
+    /// # Panics
+    /// On blocking invalid for `T`, an id outside `x`, or a coordinate
+    /// that overflows `T`.
+    pub fn pack<S: GsknnScalar>(x: &PointSet<S>, r_idx: Vec<usize>, params: GemmParams) -> Self {
+        assert!(
+            r_idx.iter().all(|&i| i < x.len()),
+            "reference index out of bounds (N = {})",
+            x.len()
+        );
+        let (d, nr) = (x.dim(), T::NR);
+        let mut packed = PackedRefs::new(d, r_idx, params);
+        packed.norms = vec![T::ZERO; packed.len().div_ceil(nr) * nr];
+        // the panels in loop order, one micro-panel appended at a time
+        let mut panels = Vec::with_capacity(packed.panel_len());
+        for jc in packed.jc_blocks() {
+            gsknn_faults::fail_point!(gsknn_faults::FaultPoint::PackR);
+            for pc in (0..d).step_by(params.dc) {
+                let dcb = (d - pc).min(params.dc);
+                for j0 in (0..jc.len()).step_by(nr) {
+                    let (first, width) = (jc.start + j0, (jc.len() - j0).min(nr));
+                    let ids = &packed.ids[first..first + width];
+                    let at = panels.len();
+                    panels.resize(at + nr * dcb, T::ZERO);
+                    let slab = |i: usize| &x.point(ids[i])[pc..pc + dcb];
+                    let to_t = |v: S| T::from_f64(v.to_f64());
+                    lay_out_panel(slab, to_t, width, dcb, nr, &mut panels[at..]);
+                    // each norm is the fold `PointSet` computes, over the
+                    // coordinates in ascending order; a strip's side by side
+                    let norms = &mut packed.norms[first..first + width];
+                    for row in panels[at..].chunks_exact(nr) {
+                        for (norm, &v) in norms.iter_mut().zip(row) {
+                            *norm += v * v;
+                        }
+                    }
+                }
+            }
+        }
+        packed.panels = panels;
+        // a finite norm has finite terms; only an infinite one asks which
+        for (&norm, &id) in packed.norms.iter().zip(&packed.ids) {
+            assert!(
+                norm.is_finite()
+                    || x.point(id)
+                        .iter()
+                        .all(|&v| T::from_f64(v.to_f64()).is_finite()),
+                "coordinate overflows {}",
+                T::NAME
+            );
+        }
+        packed
+    }
+
+    /// Pack all of `x` (ids `0..n`) in place: its coordinate buffer becomes
+    /// the panels and its `X2` the `R2c`. Each step copies the rows it
+    /// rewrites into a scratch — one `NR`-point strip when `d ≤ dc` (the
+    /// block's one panel holds each strip where its rows were), one `jc`
+    /// block otherwise (the block's `pc` panels interleave all its rows) —
+    /// so the build never holds a second copy of the table.
+    ///
+    /// # Panics
+    /// On blocking invalid for `T`.
+    pub fn from_table(x: PointSet<T>, params: GemmParams) -> Self {
+        let (d, n) = (x.dim(), x.len());
+        let mut packed = PackedRefs::new(d, (0..n).collect(), params);
+        let (coords, sqnorms) = x.into_parts();
+        packed.norms = sqnorms;
+        packed.norms.resize(n.div_ceil(T::NR) * T::NR, T::ZERO);
+        packed.panels = coords;
+        packed.panels.resize(packed.panel_len(), T::ZERO);
+        let step = if d <= params.dc {
+            T::NR
+        } else {
+            params.nc.min(n)
+        };
+        // a strip of rows fits on the stack: the build allocates nothing
+        // beyond what it keeps
+        let (mut on_stack, mut on_heap) = ([T::ZERO; 4096], Vec::new());
+        let scratch = if step * d <= on_stack.len() {
+            &mut on_stack[..step * d]
+        } else {
+            on_heap.resize(step * d, T::ZERO);
+            &mut on_heap[..]
+        };
+        for jc in packed.jc_blocks() {
+            gsknn_faults::fail_point!(gsknn_faults::FaultPoint::PackR);
+            let ncb_pad = jc.len().div_ceil(T::NR) * T::NR;
+            for j0 in (0..jc.len()).step_by(step) {
+                let (first, width) = ((jc.start + j0) * d, (jc.len() - j0).min(step));
+                let rows = &mut scratch[..width * d];
+                rows.copy_from_slice(&packed.panels[first..first + width * d]);
+                for pc in (0..d).step_by(params.dc) {
+                    let dcb = (d - pc).min(params.dc);
+                    let at = jc.start * d + ncb_pad * pc + j0 * dcb;
+                    let out = &mut packed.panels[at..][..width.div_ceil(T::NR) * T::NR * dcb];
+                    let slab = |i: usize| &rows[i * d + pc..][..dcb];
+                    lay_out_panel(slab, |v| v, width, dcb, T::NR, out);
+                }
+            }
+        }
+        packed
+    }
+
+    fn new(d: usize, ids: Vec<usize>, params: GemmParams) -> Self {
+        params
+            .validate_for::<T>()
+            .expect("invalid blocking parameters");
+        PackedRefs {
+            params,
+            d,
+            panels: Vec::new(),
+            norms: Vec::new(),
+            ids,
+        }
+    }
+
+    /// `⌈n/NR⌉·NR·d`.
+    fn panel_len(&self) -> usize {
+        self.norms.len() * self.d
+    }
+
+    /// The 6th loop's reference blocks.
+    fn jc_blocks(&self) -> impl Iterator<Item = Range<usize>> {
+        let (n, nc) = (self.len(), self.params.nc);
+        (0..n).step_by(nc).map(move |jc| jc..n.min(jc + nc))
+    }
+
+    /// Block `(jc, pc)` of the nest: its `Rc` panel and its `R2c`.
+    pub(crate) fn block(&self, jc: usize, pc: usize) -> (&[T], &[T]) {
+        let GemmParams { dc, nc, .. } = self.params;
+        let ncb_pad = (self.len() - jc).min(nc).div_ceil(T::NR) * T::NR;
+        let at = jc * self.d + ncb_pad * pc;
+        let dcb = (self.d - pc).min(dc);
+        (
+            &self.panels[at..at + ncb_pad * dcb],
+            &self.norms[jc..jc + ncb_pad],
+        )
+    }
+
+    /// References packed (`n`).
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` when nothing is packed.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Point dimension.
+    pub fn dim(&self) -> usize {
+        self.d
+    }
+
+    /// The blocking the panels were packed with — the blocking every call
+    /// against them runs.
+    pub fn params(&self) -> GemmParams {
+        self.params
+    }
+
+    /// Reference ids, in packed order: what a neighbor row reports.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+
+    /// Every `(jc, pc)` panel, in loop order (`⌈n/NR⌉·NR·d` elements).
+    pub fn panels(&self) -> &[T] {
+        &self.panels
     }
 }
 
@@ -219,6 +441,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every `(jc, pc)` block and `R2c` of `packed` is what `pack_r_panel`
+    /// and `pack_sqnorms` gather from `x` over ids `0..n`, bit for bit.
+    fn blocks_are_gathered<T: GsknnScalar>(
+        x: &dataset::PointSet<T>,
+        packed: &PackedRefs<T>,
+    ) -> Result<(), String> {
+        use proptest::prop_assert_eq;
+        let (n, d, nr) = (x.len(), x.dim(), T::NR);
+        let GemmParams { dc, nc, .. } = packed.params();
+        let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<_>>();
+        let ids: Vec<usize> = (0..n).collect();
+        prop_assert_eq!(packed.ids(), &ids[..]);
+        prop_assert_eq!(packed.panels().len(), n.div_ceil(nr) * nr * d);
+        for jc in (0..n).step_by(nc) {
+            let ncb = (n - jc).min(nc);
+            let padded = ncb.div_ceil(nr) * nr;
+            for pc in (0..d).step_by(dc) {
+                let dcb = (d - pc).min(dc);
+                let mut want = vec![T::ZERO; padded * dcb];
+                pack_r_panel(x, &ids, jc, ncb, pc, dcb, &mut want);
+                prop_assert_eq!(
+                    bits(packed.block(jc, pc).0),
+                    bits(&want),
+                    "({}, {})",
+                    jc,
+                    pc
+                );
+            }
+            let mut want = vec![T::ZERO; padded];
+            pack_sqnorms(x, &ids, jc, ncb, nr, &mut want);
+            prop_assert_eq!(bits(packed.block(jc, 0).1), bits(&want), "R2c of {}", jc);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The in-place build of a table, in both precisions, and the f32
+        /// build cast from the f64 table: every block is the gathered one.
+        /// `n` straddles `NR` and `nc`; `d` straddles `dc` (a block per
+        /// strip below it, the whole block above).
+        #[test]
+        fn prepacked_blocks_are_the_gathered_blocks(
+            n in 1usize..90,
+            d in 1usize..20,
+            seed in 0u64..500,
+            blocking in 0usize..3,
+        ) {
+            let params = |nr: usize| match blocking {
+                0 => GemmParams { dc: 8, mc: 2 * MR, nc: 3 * nr },
+                1 => GemmParams { dc: 8, mc: 3 * MR, nc: 5 * nr },
+                _ => GemmParams { dc: 32, mc: 3 * MR, nc: 5 * nr },
+            };
+            let (p64, p32) = (params(NR), params(<f32 as GsknnScalar>::NR));
+            let x = uniform(n, d, seed);
+            let x32: dataset::PointSet<f32> = x.cast();
+            let ids: Vec<usize> = (0..n).collect();
+            let in_place = PackedRefs::from_table(x.clone(), p64);
+            blocks_are_gathered(&x, &in_place)?;
+            let gathered = PackedRefs::pack(&x, ids.clone(), p64);
+            proptest::prop_assert_eq!(in_place.panels(), gathered.panels());
+            blocks_are_gathered(&x32, &PackedRefs::from_table(x32.clone(), p32))?;
+            blocks_are_gathered(&x32, &PackedRefs::<f32>::pack(&x, ids, p32))?;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reference index out of bounds")]
+    fn packing_checks_the_ids_once() {
+        let x = uniform(10, 3, 1);
+        PackedRefs::<f64>::pack(&x, vec![3, 10], GemmParams::tiny());
     }
 
     #[test]

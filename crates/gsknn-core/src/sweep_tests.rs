@@ -1,6 +1,7 @@
 //! The path-equivalence property: one generator over precision, norm,
 //! `k`, row state, ties and blocking, run through every selection
-//! placement and the driver at `p ∈ {1, 3}`; the heap-only per-tile path
+//! placement, the driver at `p ∈ {1, 3}` and both reference sources
+//! (gather-packed per call, prepacked once); the heap-only per-tile path
 //! is the reference and every other path must return its rows bit for
 //! bit. Plus what a whole call promises about one query's bits across
 //! batch shapes, about block-local scratch and — with `obs` — about the
@@ -8,6 +9,7 @@
 
 use crate::buffers::{GsknnWorkspace, KernelStats};
 use crate::microkernel::FusedScalar;
+use crate::packing::PackedRefs;
 use crate::params::Variant;
 use crate::variants::{run_nest, DriverArgs, Interior, SelHeap, TEST_INTERIOR};
 use crate::{Gsknn, GsknnConfig};
@@ -155,14 +157,21 @@ fn paths_agree<T: FusedScalar>(c: Case) -> Result<(), String> {
             .collect();
     }
 
-    let run = |variant, interior, p| {
+    // the same references packed once, under the call's blocking
+    let packed = PackedRefs::pack(&x, r_idx.clone(), params);
+    let run_from = |variant, interior, p, prepacked: bool| {
         with_interior(interior, || {
             let mut heaps = heaps.clone();
             let mut ws = GsknnWorkspace::new();
-            run_nest(&args(variant, &r_idx), &mut heaps, &mut ws, p);
+            let args = match prepacked {
+                true => DriverArgs::prepacked(&x, &q_idx, &packed, c.kind, variant),
+                false => args(variant, &r_idx),
+            };
+            run_nest(&args, &mut heaps, &mut ws, p);
             (row_bits(heaps), ws.stats)
         })
     };
+    let run = |variant, interior, p| run_from(variant, interior, p, false);
     let sweep = Interior::Sweep(crate::obs::STRIP_SAMPLE);
     let (want, per_tile) = run(Variant::Var1, Interior::PerTile, 1);
     let (rows, stats) = run(Variant::Var1, sweep, 1);
@@ -181,11 +190,15 @@ fn paths_agree<T: FusedScalar>(c: Case) -> Result<(), String> {
     prop_assert_eq!(run(Variant::Var1, sweep, 1), (rows, stats));
     // every p, and every selection placement: the buffered variants
     // select from `Cc` after the 2nd, 3rd, 5th or 6th loop, offering each
-    // row its candidates in the same order
+    // row its candidates in the same order; and every one of them from
+    // prepacked panels returns the gathered call's rows and counters
     prop_assert_eq!(&run(Variant::Var1, Interior::PerTile, 3).0, &want);
     for p in [1, 3] {
         for v in Variant::ALL {
-            prop_assert_eq!(&run(v, sweep, p).0, &want, "{} at p = {}", v.name(), p);
+            let gathered = run(v, sweep, p);
+            prop_assert_eq!(&gathered.0, &want, "{} at p = {}", v.name(), p);
+            let prepacked = run_from(v, sweep, p, true);
+            prop_assert_eq!(prepacked, gathered, "prepacked {} at p = {}", v.name(), p);
         }
     }
     Ok(())

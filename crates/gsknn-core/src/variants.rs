@@ -29,7 +29,7 @@
 use crate::buffers::{ChunkScratch, GsknnWorkspace, KernelStats};
 use crate::microkernel::{tile_pass, FusedScalar, PassMode, Sweep};
 use crate::obs::{Phase, PhaseSet, STRIP_SAMPLE};
-use crate::packing::{pack_q_panel, pack_r_panel, pack_sqnorms};
+use crate::packing::{pack_q_panel, pack_r_panel, pack_sqnorms, PackedRefs};
 use crate::parallel::{dynamic_mc, Chunk, QueryWalk};
 use crate::params::Variant;
 use dataset::{DistanceKind, PointSet};
@@ -155,24 +155,38 @@ impl<T: GsknnScalar> SelHeap<T> {
 ///
 /// The paper's interface draws queries and references from one global
 /// table `X`; here the two sides may come from *different* tables of the
-/// same dimension (`xq`/`xr`), which adds out-of-sample (train/test)
-/// search for free — pass the same table twice for the paper's setting
-/// ([`DriverArgs::same`]).
+/// same dimension, which adds out-of-sample (train/test) search for free —
+/// pass the same table twice for the paper's setting
+/// ([`DriverArgs::same`]) — and the references may arrive already packed
+/// ([`PackedRefs`]).
 pub struct DriverArgs<'a, T: GsknnScalar = f64> {
     /// Coordinate table the queries are gathered from.
     pub xq: &'a PointSet<T>,
-    /// Coordinate table the references are gathered from.
-    pub xr: &'a PointSet<T>,
     /// Query ids into `xq` (the `q` array — general stride).
     pub q_idx: &'a [usize],
-    /// Reference ids into `xr` (the `r` array).
-    pub r_idx: &'a [usize],
+    /// Where the references come from.
+    pub(crate) refs: RefSource<'a, T>,
     /// Distance to compute.
     pub kind: DistanceKind,
     /// Blocking parameters.
     pub params: GemmParams,
     /// Selection placement.
     pub variant: Variant,
+}
+
+/// The reference side of a call: the only thing [`run_nest`] does
+/// differently between them is its 5th loop's `Rc`/`R2c` step.
+#[derive(Clone, Copy)]
+pub(crate) enum RefSource<'a, T: GsknnScalar> {
+    /// Gather-pack every `(jc, pc)` block from `x` through the ids `idx`
+    /// (the `r` array), per call.
+    Gather {
+        x: &'a PointSet<T>,
+        idx: &'a [usize],
+    },
+    /// Borrow every block from panels packed once, under the call's
+    /// blocking.
+    Packed(&'a PackedRefs<T>),
 }
 
 impl<'a, T: GsknnScalar> DriverArgs<'a, T> {
@@ -187,12 +201,47 @@ impl<'a, T: GsknnScalar> DriverArgs<'a, T> {
     ) -> Self {
         DriverArgs {
             xq: x,
-            xr: x,
             q_idx,
-            r_idx,
+            refs: RefSource::Gather { x, idx: r_idx },
             kind,
             params,
             variant,
+        }
+    }
+
+    /// Queries from `xq`, references from panels packed once — under the
+    /// blocking they were packed with, the only one whose `(jc, pc)` blocks
+    /// they hold.
+    pub(crate) fn prepacked(
+        xq: &'a PointSet<T>,
+        q_idx: &'a [usize],
+        refs: &'a PackedRefs<T>,
+        kind: DistanceKind,
+        variant: Variant,
+    ) -> Self {
+        DriverArgs {
+            xq,
+            q_idx,
+            refs: RefSource::Packed(refs),
+            kind,
+            params: refs.params(),
+            variant,
+        }
+    }
+
+    /// Reference ids, in the order the nest offers them.
+    pub(crate) fn r_ids(&self) -> &'a [usize] {
+        match self.refs {
+            RefSource::Gather { idx, .. } => idx,
+            RefSource::Packed(packed) => packed.ids(),
+        }
+    }
+
+    /// Dimension of the references.
+    pub(crate) fn r_dim(&self) -> usize {
+        match self.refs {
+            RefSource::Gather { x, .. } => x.dim(),
+            RefSource::Packed(packed) => packed.dim(),
         }
     }
 }
@@ -298,6 +347,7 @@ fn ic_block_body<T: FusedScalar>(
         reservoir,
     } = scratch;
     let mcb = heaps.len();
+    let r_ids = args.r_ids();
     let variant = args.variant;
     let multipass = args.xq.dim() > args.params.dc;
     let buffered = variant != Variant::Var1;
@@ -367,7 +417,7 @@ fn ic_block_body<T: FusedScalar>(
                 m_tiles: m_full / mr,
                 n_tiles: n_full / nr,
                 prior,
-                r_ids: &args.r_idx[rb.jc..rb.jc + n_full],
+                r_ids: &r_ids[rb.jc..rb.jc + n_full],
                 heaps: &mut *heaps,
                 thr,
                 reservoir,
@@ -474,7 +524,7 @@ fn ic_block_body<T: FusedScalar>(
             } else {
                 gsknn_faults::fail_point!(gsknn_faults::FaultPoint::HeapSelect);
                 phases.time(Phase::Select, || {
-                    select_tile(&out, ir, mre, rb.jc + jr, nre, args.r_idx, heaps, stats)
+                    select_tile(&out, ir, mre, rb.jc + jr, nre, r_ids, heaps, stats)
                 });
             }
         }
@@ -488,7 +538,7 @@ fn ic_block_body<T: FusedScalar>(
                     0..mcb,
                     rb.col0 + jr..rb.col0 + jr + nre,
                     rb.jc + jr,
-                    args.r_idx,
+                    r_ids,
                     heaps,
                     stats,
                 )
@@ -505,7 +555,7 @@ fn ic_block_body<T: FusedScalar>(
                 0..mcb,
                 rb.col0..rb.col0 + rb.ncb,
                 rb.jc,
-                args.r_idx,
+                r_ids,
                 heaps,
                 stats,
             )
@@ -527,10 +577,10 @@ pub fn run_nest<T: FusedScalar>(
 ) {
     let (mr, nr) = (T::MR, T::NR);
     let m = args.q_idx.len();
-    let n = args.r_idx.len();
+    let n = args.r_ids().len();
     let d = args.xq.dim();
     assert_eq!(heaps.len(), m, "one heap per query");
-    assert_eq!(d, args.xr.dim(), "query/reference dimension mismatch");
+    assert_eq!(d, args.r_dim(), "query/reference dimension mismatch");
     args.params
         .validate_for::<T>()
         .expect("invalid blocking parameters");
@@ -583,19 +633,25 @@ pub fn run_nest<T: FusedScalar>(
             let first = pc == 0;
             let last = pc + dcb >= d;
 
-            let nblocks = ncb.div_ceil(nr);
-            gsknn_faults::fail_point!(gsknn_faults::FaultPoint::PackR);
-            walk.phases.time(Phase::PackR, || {
-                r_pack.resize(nblocks * nr * dcb);
-                pack_r_panel(args.xr, args.r_idx, jc, ncb, pc, dcb, r_pack.as_mut_slice());
-                if last {
-                    r2_pack.resize(nblocks * nr);
-                    pack_sqnorms(args.xr, args.r_idx, jc, ncb, nr, r2_pack.as_mut_slice());
+            let (r_panel, r2_panel) = match args.refs {
+                RefSource::Gather { x, idx } => {
+                    let nblocks = ncb.div_ceil(nr);
+                    gsknn_faults::fail_point!(gsknn_faults::FaultPoint::PackR);
+                    walk.phases.time(Phase::PackR, || {
+                        r_pack.resize(nblocks * nr * dcb);
+                        pack_r_panel(x, idx, jc, ncb, pc, dcb, r_pack.as_mut_slice());
+                        if last {
+                            r2_pack.resize(nblocks * nr);
+                            pack_sqnorms(x, idx, jc, ncb, nr, r2_pack.as_mut_slice());
+                        }
+                    });
+                    (r_pack.as_slice(), r2_pack.as_slice())
                 }
-            });
+                RefSource::Packed(packed) => packed.block(jc, pc),
+            };
             let rb = RefBlock {
-                r_pack: r_pack.as_slice(),
-                r2_pack: r2_pack.as_slice(),
+                r_pack: r_panel,
+                r2_pack: r2_panel,
                 jc,
                 ncb,
                 dcb,
@@ -650,7 +706,7 @@ fn select_buffered<T: FusedScalar>(
                 0..chunk.heaps.len(),
                 cols.clone(),
                 ref0,
-                args.r_idx,
+                args.r_ids(),
                 chunk.heaps,
                 stats,
             )
@@ -663,7 +719,7 @@ fn select_buffered<T: FusedScalar>(
 pub(crate) fn feed_degenerate<T: GsknnScalar>(args: &DriverArgs<'_, T>, heaps: &mut [SelHeap<T>]) {
     if args.xq.dim() == 0 && !args.q_idx.is_empty() {
         for heap in heaps.iter_mut() {
-            for &rj in args.r_idx {
+            for &rj in args.r_ids() {
                 heap.push(Neighbor::new(T::ZERO, rj as u32));
             }
         }

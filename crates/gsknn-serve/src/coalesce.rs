@@ -15,7 +15,9 @@
 //! [`batch_target`] turns the first trigger into a precomputed constant
 //! `m*` per (index, precision) pair, so the hot path is one integer
 //! comparison. Every price here is the model's Var#1 — the variant the
-//! kernel runs.
+//! kernel runs — as the lane runs it: gather-packing each forest leaf's
+//! references per call (`Approach::Var1`), or reading the flat index's
+//! prepacked panels (`Approach::Var1Prepacked`).
 
 use gsknn_core::model::Approach;
 use gsknn_core::{Model, ProblemSize};
@@ -39,13 +41,14 @@ pub enum FlushReason {
 /// Smallest batch size `m*` whose predicted GFLOPS reaches `frac` of the
 /// asymptotic prediction for this problem shape, capped at `max_batch`.
 ///
-/// `n` is the per-kernel-call reference count (the index's leaf size for
-/// forest-routed queries), `d`/`k` the index dimension and the served
-/// neighbor count. The scan is over the closed-form model only — no
-/// kernel runs — so this is cheap enough to recompute per lane at
-/// startup.
+/// `approach` is how the lane's kernel calls run, `n` the per-call
+/// reference count (the index's leaf size for forest-routed queries),
+/// `d`/`k` the index dimension and the served neighbor count. The scan is
+/// over the closed-form model only — no kernel runs — so this is cheap
+/// enough to recompute per lane at startup.
 pub fn batch_target(
     model: &Model,
+    approach: Approach,
     n: usize,
     d: usize,
     k: usize,
@@ -60,10 +63,10 @@ pub fn batch_target(
         d,
         k,
     };
-    let goal = frac * model.gflops(&asym, Approach::Var1);
+    let goal = frac * model.gflops(&asym, approach);
     for m in 1..=max_batch {
         let p = ProblemSize { m, n, d, k };
-        if model.gflops(&p, Approach::Var1) >= goal {
+        if model.gflops(&p, approach) >= goal {
             return m;
         }
     }
@@ -71,8 +74,10 @@ pub fn batch_target(
 }
 
 /// Model-predicted cost of one flushed batch of `m` queries against a
-/// forest of `n_trees` trees with `leaf_size`-reference leaves, with the
-/// itemized terms (the paper's Table 4 rows plus the compute term).
+/// forest of `n_trees` trees with `leaf_size`-reference leaves (the flat
+/// index: one tree, one leaf of every reference), each call run as
+/// `approach`, with the itemized terms (the paper's Table 4 rows plus the
+/// compute term).
 ///
 /// Approximation, stated: the forest solves one cross-table kernel per
 /// (tree, routed leaf) *group* of queries; this prices the batch as if
@@ -83,6 +88,7 @@ pub fn batch_target(
 /// drift row is for.
 pub fn predict_batch_cost(
     model: &Model,
+    approach: Approach,
     n_trees: usize,
     leaf_size: usize,
     m: usize,
@@ -90,15 +96,17 @@ pub fn predict_batch_cost(
     k: usize,
 ) -> (f64, Vec<(&'static str, f64)>) {
     let mut terms = Vec::new();
-    let total = predict_batch_cost_into(model, n_trees, leaf_size, m, d, k, &mut terms);
+    let total = predict_batch_cost_into(model, approach, n_trees, leaf_size, m, d, k, &mut terms);
     (total, terms)
 }
 
 /// [`predict_batch_cost`] into a caller-owned term buffer (cleared
 /// first). The shard flush path calls this once per batch with a
 /// retained buffer, keeping the steady-state query path allocation-free.
+#[allow(clippy::too_many_arguments)]
 pub fn predict_batch_cost_into(
     model: &Model,
+    approach: Approach,
     n_trees: usize,
     leaf_size: usize,
     m: usize,
@@ -113,12 +121,12 @@ pub fn predict_batch_cost_into(
         k,
     };
     let scale = n_trees.max(1) as f64;
-    model.tm_terms_into(&p, Approach::Var1, terms);
+    model.tm_terms_into(&p, approach, terms);
     for term in terms.iter_mut() {
         term.1 *= scale;
     }
     terms.push(("compute (Tf + To)", model.t_compute(&p) * scale));
-    model.predict(&p, Approach::Var1) * scale
+    model.predict(&p, approach) * scale
 }
 
 /// The total of [`predict_batch_cost`] without the itemization — and
@@ -126,6 +134,7 @@ pub fn predict_batch_cost_into(
 /// on every poll tick.
 pub fn predict_batch_total(
     model: &Model,
+    approach: Approach,
     n_trees: usize,
     leaf_size: usize,
     m: usize,
@@ -138,7 +147,7 @@ pub fn predict_batch_total(
         d,
         k,
     };
-    model.predict(&p, Approach::Var1) * n_trees.max(1) as f64
+    model.predict(&p, approach) * n_trees.max(1) as f64
 }
 
 /// Time constant of the arrival-rate EWMA: how much history the adaptive
@@ -205,6 +214,7 @@ impl ArrivalRate {
 #[allow(clippy::too_many_arguments)]
 pub fn adaptive_should_flush(
     model: &Model,
+    approach: Approach,
     n_trees: usize,
     leaf_size: usize,
     d: usize,
@@ -227,8 +237,8 @@ pub fn adaptive_should_flush(
     if m2 <= m {
         return true;
     }
-    let cost_now = predict_batch_total(model, n_trees, leaf_size, m, d, k);
-    let cost_then = predict_batch_total(model, n_trees, leaf_size, m2, d, k);
+    let cost_now = predict_batch_total(model, approach, n_trees, leaf_size, m, d, k);
+    let cost_then = predict_batch_total(model, approach, n_trees, leaf_size, m2, d, k);
     let saved_per_query = cost_now / m as f64 - cost_then / m2 as f64;
     let wait_s = (m2 - m) as f64 / rate_qps;
     // total predicted saving across the grown batch vs total added wait
@@ -247,8 +257,8 @@ mod tests {
     #[test]
     fn target_grows_with_the_efficiency_bar() {
         let m = model();
-        let lo = batch_target(&m, 512, 16, 8, 0.25, 4096);
-        let hi = batch_target(&m, 512, 16, 8, 0.90, 4096);
+        let lo = batch_target(&m, Approach::Var1, 512, 16, 8, 0.25, 4096);
+        let hi = batch_target(&m, Approach::Var1, 512, 16, 8, 0.90, 4096);
         assert!(lo >= 1);
         assert!(hi >= lo, "stricter frac must not shrink m*: {lo} vs {hi}");
         assert!(hi <= 4096);
@@ -256,13 +266,16 @@ mod tests {
 
     #[test]
     fn zero_frac_is_satisfied_immediately() {
-        assert_eq!(batch_target(&model(), 512, 16, 8, 0.0, 4096), 1);
+        assert_eq!(
+            batch_target(&model(), Approach::Var1, 512, 16, 8, 0.0, 4096),
+            1
+        );
     }
 
     #[test]
     fn cap_clamps_an_unreachable_bar() {
         // frac = 1.0 requires the asymptote itself; a small cap clamps it
-        let t = batch_target(&model(), 2048, 64, 16, 1.0, 32);
+        let t = batch_target(&model(), Approach::Var1, 2048, 64, 16, 1.0, 32);
         assert_eq!(t, 32);
     }
 
@@ -270,7 +283,7 @@ mod tests {
     fn target_meets_the_bar_it_claims() {
         let m = model();
         let (n, d, k, frac, cap) = (1024usize, 32usize, 8usize, 0.8f64, 8192usize);
-        let t = batch_target(&m, n, d, k, frac, cap);
+        let t = batch_target(&m, Approach::Var1, n, d, k, frac, cap);
         let asym = ProblemSize {
             m: ASYMPTOTE_M,
             n,
@@ -307,14 +320,17 @@ mod tests {
     fn target_prices_var1_at_the_forest_lane() {
         // the model's Var#6 would put m* at 27 here; Var#1 is what runs
         for model in lane_models() {
-            assert_eq!(batch_target(&model, LEAF, D, K_MAX, 0.9, 512), 21);
+            assert_eq!(
+                batch_target(&model, Approach::Var1, LEAF, D, K_MAX, 0.9, 512),
+                21
+            );
         }
     }
 
     #[test]
     fn batch_cost_itemizes_the_reservoir_terms() {
         for model in lane_models() {
-            let (_, terms) = predict_batch_cost(&model, 4, LEAF, 21, D, K_MAX);
+            let (_, terms) = predict_batch_cost(&model, Approach::Var1, 4, LEAF, 21, D, K_MAX);
             let names: Vec<&str> = terms.iter().map(|(name, _)| *name).collect();
             for name in [
                 "reservoir appends",
@@ -331,6 +347,25 @@ mod tests {
     }
 
     #[test]
+    fn the_exact_lane_prices_one_read_of_its_panels() {
+        // the serve ledger's flat lane: n = 32768 prepacked references,
+        // d = 64, k_max
+        let (n, d) = (32768, 64);
+        for model in lane_models() {
+            let (_, terms) = predict_batch_cost(&model, Approach::Var1Prepacked, 1, n, 32, d, 16);
+            let names: Vec<&str> = terms.iter().map(|(name, _)| *name).collect();
+            assert!(names.contains(&"read prepacked Rc + R2c"), "{names:?}");
+            assert!(!names.contains(&"pack Rc + R2c"), "{names:?}");
+            // n fewer norm reads per batch: m* moves 202 -> 199
+            let target = |a| batch_target(&model, a, n, d, K_MAX, 0.9, 512);
+            assert_eq!(
+                (target(Approach::Var1), target(Approach::Var1Prepacked)),
+                (202, 199)
+            );
+        }
+    }
+
+    #[test]
     fn batch_total_is_the_var1_prediction() {
         // f32, k = 16: the model's Var#6 is the cheaper one at every m here
         let [_, model] = lane_models();
@@ -342,7 +377,7 @@ mod tests {
                 k: 16,
             };
             assert_eq!(
-                predict_batch_total(&model, 1, LEAF, m, D, 16),
+                predict_batch_total(&model, Approach::Var1, 1, LEAF, m, D, 16),
                 model.predict(&p, Approach::Var1),
                 "m = {m}"
             );
@@ -375,11 +410,44 @@ mod tests {
     fn adaptive_flushes_at_target_or_exhausted_budget() {
         let m = model();
         // at target: always flush
-        assert!(adaptive_should_flush(&m, 1, 512, 16, 8, 64, 64, 1e6, 0.02));
+        assert!(adaptive_should_flush(
+            &m,
+            Approach::Var1,
+            1,
+            512,
+            16,
+            8,
+            64,
+            64,
+            1e6,
+            0.02
+        ));
         // budget spent: always flush
-        assert!(adaptive_should_flush(&m, 1, 512, 16, 8, 1, 64, 1e6, 0.0));
+        assert!(adaptive_should_flush(
+            &m,
+            Approach::Var1,
+            1,
+            512,
+            16,
+            8,
+            1,
+            64,
+            1e6,
+            0.0
+        ));
         // dead lane (no arrivals expected): flush rather than strand
-        assert!(adaptive_should_flush(&m, 1, 512, 16, 8, 1, 64, 0.0, 0.02));
+        assert!(adaptive_should_flush(
+            &m,
+            Approach::Var1,
+            1,
+            512,
+            16,
+            8,
+            1,
+            64,
+            0.0,
+            0.02
+        ));
     }
 
     #[test]
@@ -390,23 +458,44 @@ mod tests {
         // budget: the per-query amortization win dwarfs the microseconds
         // of extra wait, so hold
         assert!(!adaptive_should_flush(
-            &mdl, n_trees, leaf, d, k, 2, target, 1e6, 0.02
+            &mdl,
+            Approach::Var1,
+            n_trees,
+            leaf,
+            d,
+            k,
+            2,
+            target,
+            1e6,
+            0.02
         ));
         // same batch, arrivals so slow the batch barely grows while every
         // held query eats most of a second of wait: flush
         assert!(adaptive_should_flush(
-            &mdl, n_trees, leaf, d, k, 2, target, 10.0, 0.5
+            &mdl,
+            Approach::Var1,
+            n_trees,
+            leaf,
+            d,
+            k,
+            2,
+            target,
+            10.0,
+            0.5
         ));
     }
 
     #[test]
     fn cost_into_and_total_agree_with_the_allocating_form() {
         let m = model();
-        let (total, terms) = predict_batch_cost(&m, 4, 512, 64, 16, 8);
-        assert_eq!(total, predict_batch_total(&m, 4, 512, 64, 16, 8));
+        let (total, terms) = predict_batch_cost(&m, Approach::Var1, 4, 512, 64, 16, 8);
+        assert_eq!(
+            total,
+            predict_batch_total(&m, Approach::Var1, 4, 512, 64, 16, 8)
+        );
         // a reused (dirty) buffer is cleared and refilled identically
         let mut buf = vec![("stale", 99.0)];
-        let total2 = predict_batch_cost_into(&m, 4, 512, 64, 16, 8, &mut buf);
+        let total2 = predict_batch_cost_into(&m, Approach::Var1, 4, 512, 64, 16, 8, &mut buf);
         assert_eq!(total, total2);
         assert_eq!(terms, buf);
     }
@@ -414,8 +503,8 @@ mod tests {
     #[test]
     fn predicted_cost_scales_with_trees_and_sums_terms() {
         let m = model();
-        let (t1, terms1) = predict_batch_cost(&m, 1, 512, 64, 16, 8);
-        let (t4, _) = predict_batch_cost(&m, 4, 512, 64, 16, 8);
+        let (t1, terms1) = predict_batch_cost(&m, Approach::Var1, 1, 512, 64, 16, 8);
+        let (t4, _) = predict_batch_cost(&m, Approach::Var1, 4, 512, 64, 16, 8);
         assert!(t1 > 0.0);
         assert!((t4 - 4.0 * t1).abs() < 1e-12 * t4.max(1.0));
         let sum: f64 = terms1.iter().map(|(_, s)| s).sum();

@@ -133,7 +133,8 @@ pub use wire::{
 /// Test-only counting global allocator: proves the shard hot path's
 /// zero-allocations-per-query claim structurally instead of by review
 /// (see `shard::tests::steady_state_query_cycle_performs_no_heap_allocation`).
-/// Counts `alloc` and `realloc` calls on the current thread.
+/// Counts `alloc` and `realloc` calls on the current thread, and keeps the
+/// largest size one of them asked for.
 #[cfg(test)]
 pub(crate) mod test_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,15 +144,23 @@ pub(crate) mod test_alloc {
         // const-initialized: the first count bump must not itself
         // allocate through lazy TLS init re-entering the allocator
         static COUNT: Cell<u64> = const { Cell::new(0) };
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// try_with: a count during TLS teardown is silently dropped rather
+    /// than aborting the process
+    fn observe(size: usize) {
+        let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+        let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
     }
 
     pub struct CountingAllocator;
 
+    // SAFETY: every call is forwarded to `System` with the caller's own
+    // arguments; the counting touches only thread-local cells.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            // try_with: a count during TLS teardown is silently dropped
-            // rather than aborting the process
-            let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+            observe(layout.size());
             System.alloc(layout)
         }
 
@@ -160,9 +169,15 @@ pub(crate) mod test_alloc {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+            observe(new_size);
             System.realloc(ptr, layout, new_size)
         }
+    }
+
+    /// The largest allocation (or reallocation) size on this thread since
+    /// the previous call.
+    pub fn take_largest() -> usize {
+        LARGEST.with(|c| c.replace(0))
     }
 
     #[global_allocator]

@@ -342,6 +342,7 @@ mod tests {
             0,
             8,
             &model,
+            gsknn_core::model::Approach::Var1,
             4,
             512,
             2,
@@ -450,6 +451,7 @@ mod tests {
                     lane,
                     8,
                     &model,
+                    gsknn_core::model::Approach::Var1,
                     4,
                     512,
                     m_batch,
@@ -515,6 +517,7 @@ mod tests {
             1,
             4,
             &model,
+            gsknn_core::model::Approach::Var1,
             4,
             512,
             2,

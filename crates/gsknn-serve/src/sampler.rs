@@ -22,6 +22,7 @@
 //! [`gsknn_obs::RooflineRow`]s in the [`gsknn_obs::ServeReport`].
 
 use crate::coalesce::FlushReason;
+use gsknn_core::model::Approach;
 use gsknn_core::obs::PhaseSet;
 use serde_json::Value;
 
@@ -274,9 +275,10 @@ pub struct RooflineRecorder {
 impl RooflineRecorder {
     /// Classify one executed batch and bump the lane's counters.
     ///
-    /// `model` is the lane's `for_scalar`-rescaled model, `leaf_n` the
-    /// per-kernel-call reference count, `backlog` the query points still
-    /// in flight beyond this batch at flush time.
+    /// `model` is the lane's `for_scalar`-rescaled model, `approach` how
+    /// its kernel calls run, `leaf_n` the per-kernel-call reference count,
+    /// `backlog` the query points still in flight beyond this batch at
+    /// flush time.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn record_batch(
@@ -284,6 +286,7 @@ impl RooflineRecorder {
         lane: usize,
         elem_bytes: usize,
         model: &gsknn_core::Model,
+        approach: Approach,
         n_trees: usize,
         leaf_n: usize,
         batch_m: usize,
@@ -298,8 +301,8 @@ impl RooflineRecorder {
         #[cfg(feature = "obs")]
         {
             let verdict = Self::classify_batch(
-                elem_bytes, model, n_trees, leaf_n, batch_m, d, k, target_m, reason, measured_s,
-                phases, backlog,
+                elem_bytes, model, approach, n_trees, leaf_n, batch_m, d, k, target_m, reason,
+                measured_s, phases, backlog,
             );
             self.counts[lane][verdict.class.index()].fetch_add(1, Ordering::Relaxed);
             // clamp: a pathological measurement must not wrap the gauge
@@ -309,8 +312,8 @@ impl RooflineRecorder {
         #[cfg(not(feature = "obs"))]
         {
             let _ = (
-                lane, elem_bytes, model, n_trees, leaf_n, batch_m, d, k, target_m, reason,
-                measured_s, phases, backlog,
+                lane, elem_bytes, model, approach, n_trees, leaf_n, batch_m, d, k, target_m,
+                reason, measured_s, phases, backlog,
             );
         }
     }
@@ -320,6 +323,7 @@ impl RooflineRecorder {
     fn classify_batch(
         elem_bytes: usize,
         model: &Model,
+        approach: Approach,
         n_trees: usize,
         leaf_n: usize,
         batch_m: usize,
@@ -340,10 +344,14 @@ impl RooflineRecorder {
             k,
         };
         let flops = model.flops(&p) * trees;
-        // slow-memory elements the model charges the batch: pack R
-        // (nd + 2n), pack Q (dm + 2m), neighbor writeback (mk), per tree
-        let elems =
-            (leaf_n * d + 2 * leaf_n + d * batch_m + 2 * batch_m + batch_m * k) as f64 * trees;
+        // slow-memory elements the model charges the batch, per tree: the
+        // references (gather-pack nd + 2n, or one read of prepacked panels
+        // nd + n), pack Q (dm + 2m), neighbor writeback (mk)
+        let r_norms = match approach {
+            Approach::Var1Prepacked => leaf_n,
+            _ => 2 * leaf_n,
+        };
+        let elems = (leaf_n * d + r_norms + d * batch_m + 2 * batch_m + batch_m * k) as f64 * trees;
         let mach = model.machine();
         let mut mem_s = 0.0;
         let mut compute_s = 0.0;
@@ -501,6 +509,7 @@ mod tests {
             0,
             8,
             &model,
+            Approach::Var1,
             4,
             512,
             2,
@@ -517,6 +526,7 @@ mod tests {
             1,
             4,
             &model,
+            Approach::Var1,
             4,
             512,
             64,

@@ -51,11 +51,11 @@ use crate::coalesce::batch_target;
 use crate::degrade::{OverloadDetector, Transition};
 use crate::metrics::Metrics;
 use crate::sampler::LoadSampler;
-use crate::shard::{shard_main, ShardCtx};
+use crate::shard::{shard_main, LaneRefs, ShardCtx};
 use crate::trace::FragmentRing;
 use crossbeam::channel;
 use dataset::{DistanceKind, PointSet};
-use gsknn_core::{MachineParams, Model};
+use gsknn_core::{FusedScalar, GsknnConfig, MachineParams, Model, PackedRefs};
 use gsknn_obs::{ServeReport, TraceRing};
 use rkdt::Forest;
 use std::io;
@@ -229,44 +229,104 @@ impl ServerConfig {
     }
 }
 
-/// The loaded index: one reference table (kept in both precisions — the
-/// forest's split projections are precision-free, so a single forest
-/// routes either cast) plus its randomized-KD-tree forest.
+/// The loaded index, in one of two shapes ([`IndexRefs`]), each holding
+/// its references once per precision so either lane serves at its own
+/// width.
 pub struct ServeIndex {
-    pub(crate) refs64: PointSet<f64>,
-    pub(crate) refs32: PointSet<f32>,
-    pub(crate) forest: Forest,
+    pub(crate) refs: IndexRefs,
     pub(crate) n_trees: usize,
     pub(crate) leaf_size: usize,
 }
 
+/// What a [`ServeIndex`] holds.
+pub(crate) enum IndexRefs {
+    /// One leaf covering the table (`n_trees <= 1`, `leaf_size >= n`):
+    /// every batch searches all of it, so each precision's references are
+    /// stored already in the kernel's `Rc` panels, under that lane's
+    /// blocking — `⌈n/NR⌉·NR·d` elements, the table's own size up to one
+    /// padded strip — and no forest is built.
+    Flat {
+        packed64: PackedRefs<f64>,
+        packed32: PackedRefs<f32>,
+    },
+    /// The table at f64 and its f32 cast, plus one randomized-KD-tree
+    /// forest routing both (its split projections are precision-free).
+    Forest {
+        refs64: PointSet<f64>,
+        refs32: PointSet<f32>,
+        forest: Forest,
+    },
+}
+
 impl ServeIndex {
-    /// Build the forest over `refs` and cache the f32 cast.
+    /// Build the index over `refs`: prepacked panels when one leaf covers
+    /// the table, else the forest and the f32 cast.
     pub fn build(refs: PointSet<f64>, n_trees: usize, leaf_size: usize, seed: u64) -> Self {
         assert!(!refs.is_empty(), "cannot serve an empty index");
-        let forest = Forest::build(&refs, n_trees, leaf_size, seed);
+        let refs = if n_trees <= 1 && leaf_size >= refs.len() {
+            // f32 first, cast while packing; then the f64 table becomes its
+            // own panels in place, so no second f64 copy is ever held
+            let ids = (0..refs.len()).collect();
+            let packed32 = PackedRefs::pack(&refs, ids, GsknnConfig::for_scalar::<f32>().params);
+            let packed64 = PackedRefs::from_table(refs, GsknnConfig::for_scalar::<f64>().params);
+            IndexRefs::Flat { packed64, packed32 }
+        } else {
+            IndexRefs::Forest {
+                forest: Forest::build(&refs, n_trees, leaf_size, seed),
+                refs32: refs.cast::<f32>(),
+                refs64: refs,
+            }
+        };
         ServeIndex {
-            refs32: refs.cast::<f32>(),
-            refs64: refs,
-            forest,
+            refs,
             n_trees,
             leaf_size,
         }
     }
 
+    /// The f64 and the f32 lane's view of the index.
+    pub(crate) fn lanes(&self) -> (LaneRefs<'_, f64>, LaneRefs<'_, f32>) {
+        match &self.refs {
+            IndexRefs::Flat { packed64, packed32 } => {
+                (LaneRefs::Flat(packed64), LaneRefs::Flat(packed32))
+            }
+            IndexRefs::Forest {
+                refs64,
+                refs32,
+                forest,
+            } => {
+                let (n_trees, leaf_size) = (self.n_trees, self.leaf_size);
+                (
+                    LaneRefs::Forest {
+                        refs: refs64,
+                        forest,
+                        n_trees,
+                        leaf_size,
+                    },
+                    LaneRefs::Forest {
+                        refs: refs32,
+                        forest,
+                        n_trees,
+                        leaf_size,
+                    },
+                )
+            }
+        }
+    }
+
     /// Point dimension.
     pub fn dim(&self) -> usize {
-        self.refs64.dim()
+        self.lanes().0.dim()
     }
 
     /// Reference count.
     pub fn len(&self) -> usize {
-        self.refs64.len()
+        self.lanes().0.len()
     }
 
     /// Never true post-build (`build` rejects empty tables).
     pub fn is_empty(&self) -> bool {
-        self.refs64.len() == 0
+        self.len() == 0
     }
 
     /// Trees in the forest.
@@ -397,28 +457,27 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Per-lane model batch targets `m*` for this (config, index) pair.
+    /// Per-lane model batch targets `m*` for this (config, index) pair,
+    /// each priced as its lane's kernel calls run ([`LaneRefs::pricing`]).
     pub fn batch_targets(&self) -> Vec<(String, usize)> {
-        let n = self.index.leaf_size.min(self.index.len());
-        let d = self.index.dim();
-        let k = self.cfg.k_max;
-        let t64 = batch_target(
-            &Model::new(MachineParams::ivy_bridge_1core().for_scalar::<f64>()),
-            n,
-            d,
-            k,
-            self.cfg.coalesce_frac,
-            self.cfg.max_batch,
-        );
-        let t32 = batch_target(
-            &Model::new(MachineParams::ivy_bridge_1core().for_scalar::<f32>()),
-            n,
-            d,
-            k,
-            self.cfg.coalesce_frac,
-            self.cfg.max_batch,
-        );
-        vec![("f64".to_string(), t64), ("f32".to_string(), t32)]
+        fn target<T: FusedScalar>(refs: &LaneRefs<'_, T>, cfg: &ServerConfig) -> usize {
+            let (approach, _, n) = refs.pricing();
+            let model = Model::new(MachineParams::ivy_bridge_1core().for_scalar::<T>());
+            batch_target(
+                &model,
+                approach,
+                n,
+                refs.dim(),
+                cfg.k_max,
+                cfg.coalesce_frac,
+                cfg.max_batch,
+            )
+        }
+        let (lane64, lane32) = self.index.lanes();
+        vec![
+            ("f64".to_string(), target(&lane64, &self.cfg)),
+            ("f32".to_string(), target(&lane32, &self.cfg)),
+        ]
     }
 
     /// Serve until `Shutdown` / SIGTERM, then drain and return the final

@@ -55,7 +55,8 @@ use crate::wire::{
 };
 use crossbeam::channel::Receiver;
 use dataset::{DistanceKind, PointSet};
-use gsknn_core::{BatchScratch, FusedScalar, Gsknn, GsknnConfig, MachineParams, Model};
+use gsknn_core::model::Approach;
+use gsknn_core::{BatchScratch, FusedScalar, Gsknn, GsknnConfig, MachineParams, Model, PackedRefs};
 use gsknn_obs::chrome_trace_json;
 use knn_select::{Neighbor, NeighborTable};
 use rkdt::Forest;
@@ -168,16 +169,59 @@ impl<T: FusedScalar> Reply<'_, T> {
     }
 }
 
+/// A lane's view of the index ([`crate::server::IndexRefs`]) at its
+/// precision.
+pub(crate) enum LaneRefs<'a, T: FusedScalar> {
+    /// The flat index's prepacked references: every batch is one
+    /// [`Gsknn::update_prepacked`] call, under the panels' own blocking.
+    Flat(&'a PackedRefs<T>),
+    /// The table and the forest routing into it: every batch is
+    /// [`Forest::query_with`], one gathered call per routed leaf group.
+    Forest {
+        refs: &'a PointSet<T>,
+        forest: &'a Forest,
+        n_trees: usize,
+        leaf_size: usize,
+    },
+}
+
+impl<T: FusedScalar> LaneRefs<'_, T> {
+    /// How the §2.6 model prices a batch: the approach each kernel call
+    /// runs, calls per batch (trees), references per call.
+    pub(crate) fn pricing(&self) -> (Approach, usize, usize) {
+        match self {
+            LaneRefs::Flat(packed) => (Approach::Var1Prepacked, 1, packed.len()),
+            LaneRefs::Forest {
+                refs,
+                n_trees,
+                leaf_size,
+                ..
+            } => (Approach::Var1, *n_trees, (*leaf_size).min(refs.len())),
+        }
+    }
+
+    pub(crate) fn dim(&self) -> usize {
+        match self {
+            LaneRefs::Flat(packed) => packed.dim(),
+            LaneRefs::Forest { refs, .. } => refs.dim(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            LaneRefs::Flat(packed) => packed.len(),
+            LaneRefs::Forest { refs, .. } => refs.len(),
+        }
+    }
+}
+
 /// One precision lane owned by a shard: the reference view, the parked
 /// batch, and every reusable piece of kernel workspace. Nothing here is
 /// shared — the shard thread is the only toucher.
 pub(crate) struct Lane<'a, T: FusedScalar> {
     /// Index into [`LANES`] (0 = f64, 1 = f32).
     lane: usize,
-    refs: &'a PointSet<T>,
-    forest: &'a Forest,
-    n_trees: usize,
-    leaf_size: usize,
+    refs: LaneRefs<'a, T>,
     kind: DistanceKind,
     /// Model batch target `m*` for this lane.
     pub(crate) target: usize,
@@ -185,10 +229,6 @@ pub(crate) struct Lane<'a, T: FusedScalar> {
     /// Use the adaptive (§2.6 wait-vs-save) flush policy instead of the
     /// fixed deadline-half wait.
     adaptive: bool,
-    /// Single-leaf index (`n_trees <= 1` and the leaf covers the table):
-    /// skip the forest and run the whole reference table through the
-    /// reusable cross-kernel path — no per-call allocation.
-    flat: bool,
     kernel_cfg: GsknnConfig,
     exec: Gsknn<T>,
     scratch: BatchScratch<T>,
@@ -198,9 +238,8 @@ pub(crate) struct Lane<'a, T: FusedScalar> {
     reply_table: NeighborTable<T>,
     /// Row scratch for sentinel-filtered truncation to a job's `k`.
     row: Vec<Neighbor<T>>,
-    /// Identity index maps for the flat path, grown once.
+    /// Identity query ids for the flat path, grown once.
     q_idx: Vec<usize>,
-    r_idx: Vec<usize>,
     /// Retained cost-term buffer for [`predict_batch_cost_into`].
     terms: Vec<(&'static str, f64)>,
     /// Timeout-sweep compaction target, reused (swapped with `queries`).
@@ -210,13 +249,9 @@ pub(crate) struct Lane<'a, T: FusedScalar> {
 }
 
 impl<'a, T: FusedScalar> Lane<'a, T> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         lane: usize,
-        refs: &'a PointSet<T>,
-        forest: &'a Forest,
-        n_trees: usize,
-        leaf_size: usize,
+        refs: LaneRefs<'a, T>,
         kind: DistanceKind,
         target: usize,
         adaptive: bool,
@@ -226,14 +261,10 @@ impl<'a, T: FusedScalar> Lane<'a, T> {
         Lane {
             lane,
             refs,
-            forest,
-            n_trees,
-            leaf_size,
             kind,
             target,
             model: Model::new(MachineParams::ivy_bridge_1core().for_scalar::<T>()),
             adaptive,
-            flat: n_trees <= 1 && leaf_size >= refs.len(),
             exec: Gsknn::new(kernel_cfg.clone()),
             kernel_cfg,
             scratch: BatchScratch::new(),
@@ -241,7 +272,6 @@ impl<'a, T: FusedScalar> Lane<'a, T> {
             reply_table: NeighborTable::new(0, 1),
             row: Vec::new(),
             q_idx: Vec::new(),
-            r_idx: Vec::new(),
             terms: Vec::new(),
             compact: PointSet::from_vec(d, 0, Vec::new()),
             pending: PendingBatch::new(d),
@@ -302,10 +332,11 @@ pub(crate) fn flush_reason<T: FusedScalar>(
     }
     if lane.adaptive {
         let remaining_s = flush_by.duration_since(now).as_secs_f64();
-        let leaf_n = lane.leaf_size.min(lane.refs.len());
+        let (approach, n_trees, leaf_n) = lane.refs.pricing();
         if adaptive_should_flush(
             &lane.model,
-            lane.n_trees,
+            approach,
+            n_trees,
             leaf_n,
             lane.refs.dim(),
             lane.pending.k_max.max(1),
@@ -349,9 +380,6 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     let start = Instant::now();
     let Lane {
         refs,
-        forest,
-        n_trees,
-        leaf_size,
         kind,
         target,
         model,
@@ -363,17 +391,13 @@ pub(crate) fn flush_lane<T: FusedScalar>(
         reply_table,
         row,
         q_idx,
-        r_idx,
         terms,
         compact,
         pending,
-        flat,
         ..
     } = lane;
-    let refs: &PointSet<T> = refs;
-    let forest: &Forest = forest;
-    let (n_trees, leaf_size, kind, target, lane_idx, flat) =
-        (*n_trees, *leaf_size, *kind, *target, *lane_idx, *flat);
+    let (kind, target, lane_idx) = (*kind, *target, *lane_idx);
+    let (approach, n_trees, leaf_n) = refs.pricing();
     let dim = refs.dim();
 
     // sweep jobs whose full budget elapsed before the kernel started
@@ -424,22 +448,16 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     let queries = &pending.queries;
     let result = catch_unwind(AssertUnwindSafe(|| {
         gsknn_faults::fail_point!(gsknn_faults::FaultPoint::BatchExec);
-        if flat {
-            grow_identity(q_idx, m_live);
-            grow_identity(r_idx, refs.len());
-            table.reset(m_live, k_batch);
-            exec.update_cross_reusing(
-                queries,
-                &q_idx[..m_live],
-                refs,
-                &r_idx[..refs.len()],
-                kind,
-                table,
-                scratch,
-            );
-            None
-        } else {
-            Some(forest.query_with(exec, refs, queries, k_batch, kind))
+        match refs {
+            LaneRefs::Flat(packed) => {
+                grow_identity(q_idx, m_live);
+                table.reset(m_live, k_batch);
+                exec.update_prepacked(queries, &q_idx[..m_live], packed, kind, table, scratch);
+                None
+            }
+            LaneRefs::Forest { refs, forest, .. } => {
+                Some(forest.query_with(exec, refs, queries, k_batch, kind))
+            }
         }
     }));
     let forest_table = match result {
@@ -467,8 +485,9 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     };
     let phases = exec.take_phase_accum();
     let measured = start.elapsed().as_secs_f64();
-    let leaf_n = leaf_size.min(refs.len());
-    let predicted = predict_batch_cost_into(model, n_trees, leaf_n, m_live, dim, k_batch, terms);
+    let predicted = predict_batch_cost_into(
+        model, approach, n_trees, leaf_n, m_live, dim, k_batch, terms,
+    );
     shared
         .metrics
         .record_flush(reason, m_live, predicted, measured, terms);
@@ -479,6 +498,7 @@ pub(crate) fn flush_lane<T: FusedScalar>(
         lane_idx,
         T::BYTES,
         model,
+        approach,
         n_trees,
         leaf_n,
         m_live,
@@ -617,27 +637,9 @@ pub(crate) fn shard_main(ctx: ShardCtx<'_>) {
     }
     let shared = ctx.shared;
     let stat = &shared.metrics.shards[ctx.id];
-    let index = ctx.index;
-    let mut lane64 = Lane::<f64>::new(
-        0,
-        &index.refs64,
-        &index.forest,
-        index.n_trees,
-        index.leaf_size,
-        ctx.kind,
-        ctx.target64,
-        ctx.adaptive,
-    );
-    let mut lane32 = Lane::<f32>::new(
-        1,
-        &index.refs32,
-        &index.forest,
-        index.n_trees,
-        index.leaf_size,
-        ctx.kind,
-        ctx.target32,
-        ctx.adaptive,
-    );
+    let (refs64, refs32) = ctx.index.lanes();
+    let mut lane64 = Lane::new(0, refs64, ctx.kind, ctx.target64, ctx.adaptive);
+    let mut lane32 = Lane::new(1, refs32, ctx.kind, ctx.target32, ctx.adaptive);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut next_gen: u64 = 1;
@@ -1261,7 +1263,7 @@ fn pin_to_core(core: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{ServerConfig, Shared};
+    use crate::server::{IndexRefs, ServerConfig, Shared};
     use proptest::prelude::*;
     use std::sync::Mutex;
 
@@ -1340,6 +1342,12 @@ mod tests {
         PointSet::from_vec(d, n, data)
     }
 
+    /// `refs` as a flat index packs them for its `T` lane.
+    fn packed<T: FusedScalar>(refs: &PointSet<f64>) -> PackedRefs<T> {
+        let ids = (0..refs.len()).collect();
+        PackedRefs::pack(refs, ids, GsknnConfig::for_scalar::<T>().params)
+    }
+
     #[test]
     fn oldest_job_owns_the_batch_deadline() {
         let now = Instant::now();
@@ -1377,9 +1385,9 @@ mod tests {
     fn staggered_enqueues_flush_on_the_oldest_budget() {
         let mut state = 7u64;
         let refs = gen_refs(32, 3, &mut state);
-        let forest = Forest::build(&refs, 1, 32, 7);
+        let packed = packed::<f64>(&refs);
         let shared = test_shared(3, 32);
-        let mut lane = Lane::<f64>::new(0, &refs, &forest, 1, 32, DistanceKind::SqL2, 64, false);
+        let mut lane = Lane::new(0, LaneRefs::Flat(&packed), DistanceKind::SqL2, 64, false);
 
         let now = Instant::now();
         let coords: Vec<f64> = (0..3).map(|_| coord(&mut state)).collect();
@@ -1422,10 +1430,10 @@ mod tests {
         let n = 40;
         let d = 4;
         let refs = gen_refs(n, d, &mut state);
-        let forest = Forest::build(&refs, 1, n, 7);
+        let packed = packed::<f64>(&refs);
         let shared = test_shared(d, n);
         let stat = ShardStat::default();
-        let mut lane = Lane::<f64>::new(0, &refs, &forest, 1, n, DistanceKind::SqL2, 64, false);
+        let mut lane = Lane::new(0, LaneRefs::Flat(&packed), DistanceKind::SqL2, 64, false);
 
         let now = Instant::now();
         let far = now + Duration::from_secs(60);
@@ -1500,10 +1508,10 @@ mod tests {
         let n = 36;
         let d = 5;
         let refs = gen_refs(n, d, &mut state);
-        let forest = Forest::build(&refs, 1, n, 7);
+        let packed = packed::<f64>(&refs);
         let shared = test_shared(d, n);
         let stat = ShardStat::default();
-        let mut lane = Lane::<f64>::new(0, &refs, &forest, 1, n, DistanceKind::SqL2, 64, false);
+        let mut lane = Lane::new(0, LaneRefs::Flat(&packed), DistanceKind::SqL2, 64, false);
 
         let now = Instant::now();
         let coords_dead: Vec<f64> = (0..2 * d).map(|_| coord(&mut state)).collect();
@@ -1558,6 +1566,79 @@ mod tests {
         assert_eq!(live_rows[0].as_slice(), fresh_table.row(0));
     }
 
+    /// A flat index stores its references once per precision, as panels
+    /// (`⌈n/NR⌉·NR·d` elements each), builds no forest, and its lanes
+    /// answer the bits of a gathered call on the row-major table without
+    /// ever sizing an `Rc` buffer — which that gathered call does.
+    #[test]
+    fn flat_index_keeps_one_panel_copy_per_precision_and_no_rc_buffer() {
+        fn flush_one_batch<T: FusedScalar>(lane: LaneRefs<'_, T>, refs: &PointSet<f64>) {
+            let (n, d, m, k) = (refs.len(), refs.dim(), 32, 4);
+            let mut state = 29u64;
+            let coords: Vec<f64> = (0..m * d).map(|_| coord(&mut state)).collect();
+            let bytes = coord_bytes(&coords);
+            let shared = test_shared(d, n);
+            let mut lane = Lane::new(0, lane, DistanceKind::SqL2, 64, false);
+            let now = Instant::now();
+            let job = test_job(m, k, now, now + Duration::from_secs(60));
+            lane.enqueue(job, &raw_query(&bytes, m, d, k), 0.0);
+            assert!(shared.metrics.admit(m, 1024));
+            let mut got = Vec::new();
+            crate::test_alloc::take_largest();
+            let stat = ShardStat::default();
+            flush_lane(
+                &mut lane,
+                &shared,
+                &stat,
+                FlushReason::Model,
+                &mut |_, reply| {
+                    if let Reply::Table(t, _) = reply {
+                        t.encode_into(&mut got);
+                    }
+                },
+            );
+            let served = crate::test_alloc::take_largest();
+
+            let table: PointSet<T> = refs.cast();
+            let mut queries = PointSet::<T>::from_vec(d, 0, Vec::new());
+            queries.append_from_f64(m, coords.iter().copied());
+            let (q_idx, r_idx): (Vec<usize>, Vec<usize>) = ((0..m).collect(), (0..n).collect());
+            let mut want = NeighborTable::<T>::new(m, k);
+            let mut exec = Gsknn::<T>::new(GsknnConfig::for_scalar::<T>());
+            exec.update_cross_reusing(
+                &queries,
+                &q_idx,
+                &table,
+                &r_idx,
+                DistanceKind::SqL2,
+                &mut want,
+                &mut BatchScratch::new(),
+            );
+            let gathered = crate::test_alloc::take_largest();
+            let mut want_bytes = Vec::new();
+            want.encode_into(&mut want_bytes);
+            assert_eq!(got, want_bytes, "{}", T::NAME);
+            // n < nc and d < dc: the gathered call's Rc is the whole table
+            let rc = n.div_ceil(T::NR) * T::NR * d * T::BYTES;
+            assert!(gathered >= rc, "{}: {gathered} B < Rc {rc} B", T::NAME);
+            assert!(served < rc / 4, "{}: {served} B allocated", T::NAME);
+        }
+
+        let _guard = lock_flushes();
+        let (n, d) = (1001, 16);
+        let refs = gen_refs(n, d, &mut 23u64);
+        let index = ServeIndex::build(refs.clone(), 1, n, 7);
+        let IndexRefs::Flat { packed64, packed32 } = &index.refs else {
+            panic!("one tree whose leaf holds the table is a flat index");
+        };
+        assert_eq!(packed64.panels().len(), n.div_ceil(4) * 4 * d);
+        assert_eq!(packed32.panels().len(), n.div_ceil(8) * 8 * d);
+        assert_eq!((index.len(), index.dim()), (n, d));
+        let (lane64, lane32) = index.lanes();
+        flush_one_batch(lane64, &refs);
+        flush_one_batch(lane32, &refs);
+    }
+
     /// The tentpole's core guarantee: with observability compiled out, a
     /// steady-state query cycle — zero-copy decode into the pack buffer,
     /// admission, flush through the reusable workspace, reply encode —
@@ -1571,10 +1652,10 @@ mod tests {
         let n = 256;
         let d = 8;
         let refs = gen_refs(n, d, &mut state);
-        let forest = Forest::build(&refs, 1, n, 7);
+        let packed = packed::<f64>(&refs);
         let shared = test_shared(d, n);
         let stat = ShardStat::default();
-        let mut lane = Lane::<f64>::new(0, &refs, &forest, 1, n, DistanceKind::SqL2, 4, false);
+        let mut lane = Lane::new(0, LaneRefs::Flat(&packed), DistanceKind::SqL2, 4, false);
 
         let coords: Vec<f64> = (0..2 * d).map(|_| coord(&mut state)).collect();
         let bytes = coord_bytes(&coords);
@@ -1622,10 +1703,10 @@ mod tests {
         let mut state = seed | 1;
         let refs64 = gen_refs(n, d, &mut state);
         let refs: PointSet<T> = refs64.cast();
-        let forest = Forest::build(&refs64, 1, n, 7);
+        let packed = packed::<T>(&refs64);
         let shared = test_shared(d, n);
         let stat = ShardStat::default();
-        let mut lane = Lane::<T>::new(0, &refs, &forest, 1, n, DistanceKind::SqL2, 64, false);
+        let mut lane = Lane::new(0, LaneRefs::Flat(&packed), DistanceKind::SqL2, 64, false);
 
         for i in 0..1000usize {
             let m = 1 + (splitmix(&mut state) % 3) as usize;

@@ -314,7 +314,9 @@ impl FragmentRing {
 
     /// Deposit `bytes` under `trace_id`, evicting the oldest entry past
     /// capacity. A re-deposit under the same id replaces the old bytes.
+    /// (Only traced requests deposit: without `obs` nothing calls this.)
     #[inline]
+    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     pub fn put(&self, trace_id: u64, bytes: Vec<u8>) {
         #[cfg(feature = "obs")]
         if let Some(m) = &self.inner {

@@ -1,17 +1,17 @@
 //! End-to-end service tests over real TCP sockets.
 //!
-//! Exactness setup: the index uses **one tree with leaf ≥ N**, so every
-//! query routes to a single leaf holding all references and
-//! `Forest::query` degenerates to exact brute force — any batching or
-//! thread interleaving the server picks must reproduce the oracle
-//! bit-for-bit (per precision). The coalescer's m-chunking is result-
-//! preserving by construction, so mixed traffic from concurrent clients
-//! is a pure scheduling question, which these tests probe.
+//! Exactness setup: the index uses **one tree with leaf ≥ N**, which is
+//! the flat index — every batch is one exact kernel call against the
+//! references prepacked at build — so any batching or thread interleaving
+//! the server picks must reproduce the oracle bit-for-bit (per
+//! precision). The coalescer's m-chunking is result-preserving by
+//! construction, so mixed traffic from concurrent clients is a pure
+//! scheduling question, which these tests probe.
 
 use dataset::{DistanceKind, PointSet};
-use gsknn_core::FusedScalar;
-use gsknn_serve::{Client, Outcome, RetryPolicy, ServeIndex, Server, ServerConfig};
-use knn_select::Neighbor;
+use gsknn_core::{BatchScratch, FusedScalar, Gsknn, GsknnConfig};
+use gsknn_serve::{Client, Outcome, PartitionCfg, RetryPolicy, ServeIndex, Server, ServerConfig};
+use knn_select::{Neighbor, NeighborTable};
 use serde_json::Value;
 use std::net::SocketAddr;
 use std::thread;
@@ -139,6 +139,106 @@ fn mixed_precision_traffic_matches_oracle_exactly() {
         report.drift_ratio().is_some(),
         "batches ran, drift must exist"
     );
+}
+
+/// Rows as `(distance bits, id)`, sentinels dropped.
+fn row_bits<T: FusedScalar>(table: &NeighborTable<T>, offset: u32) -> Vec<Vec<(u64, u32)>> {
+    (0..table.len())
+        .map(|i| {
+            table
+                .row(i)
+                .iter()
+                .filter(|nb| nb.idx != u32::MAX)
+                .map(|nb| (nb.dist.to_f64().to_bits(), nb.idx + offset))
+                .collect()
+        })
+        .collect()
+}
+
+/// What `update_cross_reusing` computes for `coords` over the row-major
+/// table `refs` at `T`, under the lane's own configuration.
+fn row_major_answer<T: FusedScalar>(
+    refs: &PointSet<f64>,
+    coords: &[f64],
+    m: usize,
+    k: usize,
+) -> NeighborTable<T> {
+    let table: PointSet<T> = refs.cast();
+    let mut queries = PointSet::<T>::from_vec(refs.dim(), 0, Vec::new());
+    queries.append_from_f64(m, coords.iter().copied());
+    let (q_idx, r_idx): (Vec<usize>, Vec<usize>) = ((0..m).collect(), (0..refs.len()).collect());
+    let mut out = NeighborTable::new(m, k);
+    Gsknn::<T>::new(GsknnConfig::for_scalar::<T>()).update_cross_reusing(
+        &queries,
+        &q_idx,
+        &table,
+        &r_idx,
+        DistanceKind::SqL2,
+        &mut out,
+        &mut BatchScratch::new(),
+    );
+    out
+}
+
+/// One query of `m` points at precision `T` through `client`: the
+/// reply's rows (global ids from a partition).
+fn served_rows<T: FusedScalar>(
+    client: &mut Client,
+    coords: &[f64],
+    m: usize,
+    k: usize,
+) -> Vec<Vec<(u64, u32)>> {
+    let wire: Vec<T> = coords.iter().map(|&v| T::from_f64(v)).collect();
+    match client.query::<T>(&wire, m, k, 2000).expect("query").outcome {
+        Outcome::Neighbors(table) => row_bits(&table, 0),
+        Outcome::Partial { table, .. } => row_bits(&table, 0),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// The flat index serves over TCP exactly what the gathered kernel call
+/// computes on the row-major table — distances and ids bit for bit — at
+/// both precisions, through one shard or two (a connection per shard), and
+/// as one partition of a scatter-gather deployment (ids shifted to global
+/// rows). `n` is no multiple of either lane's `NR`, so the last panel is
+/// padded.
+#[test]
+fn flat_index_replies_are_the_row_major_kernel_bit_for_bit() {
+    let (n, k) = (601, 7);
+    let refs = dataset::uniform(n, D, 5);
+    let pool = dataset::uniform(64, D, 6);
+    let partition = PartitionCfg::solo(1, 2, 1000, 3);
+    for (shards, partition) in [(1, None), (2, None), (1, Some(partition))] {
+        // adaptive: a lone request flushes at once instead of waiting out
+        // half its budget
+        let cfg = ServerConfig {
+            shards,
+            partition,
+            adaptive_coalesce: true,
+            k_max: 16,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(cfg, ServeIndex::build(refs.clone(), 1, n, 7)).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let handle = thread::spawn(move || server.run());
+        let offset = partition.map_or(0, |p| p.offset);
+        for conn in 0..shards {
+            let mut client = Client::connect(addr).expect("connect");
+            for (r, m) in [1usize, 5, 32].into_iter().enumerate() {
+                let first = (conn * 3 + r) * 7 % (64 - m);
+                let coords = &pool.as_slice()[first * D..(first + m) * D];
+                let ctx = format!("shards {shards} partition {partition:?} conn {conn} m {m}");
+                let want = row_major_answer::<f64>(&refs, coords, m, k);
+                let got = served_rows::<f64>(&mut client, coords, m, k);
+                assert_eq!(got, row_bits(&want, offset), "f64 {ctx}");
+                let want = row_major_answer::<f32>(&refs, coords, m, k);
+                let got = served_rows::<f32>(&mut client, coords, m, k);
+                assert_eq!(got, row_bits(&want, offset), "f32 {ctx}");
+            }
+        }
+        Client::connect(addr).unwrap().shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+    }
 }
 
 #[test]

@@ -20,9 +20,10 @@
 //!    restores answers bit-identical to a single node.
 #![cfg(feature = "faults")]
 
+use gsknn::core::{BatchScratch, PackedRefs};
 use gsknn::router::{Router, RouterConfig};
 use gsknn::serve::{Client, Outcome, PartitionCfg, RetryPolicy, ServeIndex, Server, ServerConfig};
-use gsknn::{DistanceKind, Gsknn, GsknnConfig, Neighbor, PointSet};
+use gsknn::{DistanceKind, Gsknn, GsknnConfig, Neighbor, NeighborTable, PointSet};
 use gsknn_faults::{FaultPlan, FaultPoint, Mode};
 use serde_json::Value;
 use std::net::SocketAddr;
@@ -93,8 +94,10 @@ fn direct_kernel_fault_has_recognizable_panic() {
     let t = Gsknn::new(GsknnConfig::default()).run(&x, &queries, &refs, 4, DistanceKind::SqL2);
     assert_eq!(t.len(), 4, "fresh executor after a fault must work");
 
-    // Every kernel point fires from both drivers, also when the batch is
-    // all full tiles (m = 64: the interior sweep, no per-tile fringe).
+    // Every kernel point fires from every driver, also when the batch is
+    // all full tiles (m = 64: the interior sweep, no per-tile fringe). On
+    // the prepacked source `PackR` fires while the panels are packed, the
+    // other points in the call against them.
     let batch: Vec<usize> = (0..64).collect();
     for point in [
         FaultPoint::PackR,
@@ -102,19 +105,33 @@ fn direct_kernel_fault_has_recognizable_panic() {
         FaultPoint::MicroKernel,
         FaultPoint::HeapSelect,
     ] {
-        for parallel in [false, true] {
+        for driver in ["serial", "data-parallel", "prepacked"] {
             gsknn_faults::configure(FaultPlan::new(11).with(point, Mode::Nth(1)));
             let got = std::panic::catch_unwind(|| {
                 let mut exec = Gsknn::new(GsknnConfig::default());
-                if parallel {
-                    exec.run_parallel(&x, &batch, &refs, 4, DistanceKind::SqL2, 2)
-                } else {
-                    exec.run(&x, &batch, &refs, 4, DistanceKind::SqL2)
+                match driver {
+                    "serial" => drop(exec.run(&x, &batch, &refs, 4, DistanceKind::SqL2)),
+                    "data-parallel" => {
+                        drop(exec.run_parallel(&x, &batch, &refs, 4, DistanceKind::SqL2, 2))
+                    }
+                    _ => {
+                        let packed = PackedRefs::pack(&x, refs.clone(), exec.config().params);
+                        let mut table = NeighborTable::new(batch.len(), 4);
+                        let mut scratch = BatchScratch::new();
+                        exec.update_prepacked(
+                            &x,
+                            &batch,
+                            &packed,
+                            DistanceKind::SqL2,
+                            &mut table,
+                            &mut scratch,
+                        );
+                    }
                 }
             });
             assert!(
                 got.is_err() && gsknn_faults::fired(point) == 1,
-                "{} must fire (parallel={parallel})",
+                "{} must fire ({driver})",
                 point.name()
             );
             gsknn_faults::clear();
@@ -171,11 +188,12 @@ fn chaos_faults_are_survived_and_recall_is_unchanged() {
 
     // -- phase 2: kernel fault deep in the six-loop nest ---------------
     // The panic starts in gsknn-core's packing/micro-kernel path and
-    // unwinds through rkdt into the server's supervisor — same terminal
-    // answer, same respawn.
+    // unwinds into the server's supervisor — same terminal answer, same
+    // respawn. The index is flat, so its references were packed at build
+    // and a batch packs only its queries.
     for (point, label) in [
         (FaultPoint::MicroKernel, "micro-kernel"),
-        (FaultPoint::PackR, "pack-r"),
+        (FaultPoint::PackQ, "pack-q"),
     ] {
         gsknn_faults::configure(FaultPlan::new(0xFEED).with(point, Mode::Nth(1)));
         let out = client
