@@ -25,22 +25,17 @@
 //!   the live one with the lowest EWMA reply latency (untried replicas
 //!   sort first, which spreads initial load) — and a query succeeds
 //!   **undegraded** as long as one replica per partition answers within
-//!   budget. A failed fan-out write fails over to a sibling replica
-//!   (`gsknn_router_replica_failovers_total`); a primary that stays
-//!   quiet past a model-derived hedge delay (~3 EWMA reply latencies)
-//!   is raced against a sibling (`gsknn_router_replica_hedges_won_total`
-//!   / `_lost_total`), and if both end up answering, the merge
-//!   deduplicates the duplicate global ids, keeping answers bit-exact.
-//! * **Degradation.** A backend that misses its per-backend deadline (or
-//!   drops the connection) gets one hedged re-send on a fresh
-//!   connection (unreplicated) or a sibling-replica race (replicated);
-//!   failing all of that, it is marked down
-//!   (`gsknn_router_backend_up 0`, `gsknn_router_replica_up 0`) and the
-//!   surviving partials are merged and shipped as `Status::OkDegraded`
-//!   with a partial envelope carrying `contributed`/`total` — a typed
-//!   answer, not an error, and with replication only reachable when an
-//!   *entire* replica set is down. A background prober pings downed
-//!   backends and folds them back into the fan-out when they recover.
+//!   budget. Each partition runs one attempt sequence under one
+//!   deadline: a failure moves it to an untried sibling (or, with none,
+//!   a fresh connection), and a replica quiet past ~3 EWMA reply
+//!   latencies is raced against a sibling. A pure state machine
+//!   (`race`) makes every decision; a seeded simulator replays it.
+//! * **Degradation.** A partition with no valid partial by the deadline
+//!   goes missing (a silent or failed backend is marked down,
+//!   `gsknn_router_backend_up 0`): the surviving partials ship as
+//!   `Status::OkDegraded` with a partial envelope carrying
+//!   `contributed`/`total` — a typed answer, not an error. A background
+//!   prober folds downed backends back in when they recover.
 //! * **Safety against splits.** Every partial carries the partition-map
 //!   epoch it was computed under and is validated *per replica*; the
 //!   router drops partials from any other epoch
@@ -58,7 +53,10 @@
 //!   slow-query log line.
 
 mod metrics;
+mod race;
 mod router;
+#[cfg(test)]
+mod sim;
 
 pub use gsknn_obs::RouterReport;
 pub use metrics::{BackendStat, RouterMetrics};

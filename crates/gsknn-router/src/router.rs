@@ -3,17 +3,18 @@
 //! prober and the metrics listener.
 
 use crate::metrics::RouterMetrics;
+use crate::race::{Action, Event, Race};
 use gsknn_obs::{
-    align_spans, chrome_trace_json, RouterReport, StageBreakdown, Trace, TraceRing, TraceSpan,
+    align_spans, chrome_trace_json, timeseries_json, RouterReport, StageBreakdown, Trace,
+    TraceRing, TraceSpan,
 };
 use gsknn_scalar::GsknnScalar;
 use gsknn_serve::server::{install_sigterm, metrics_listener, sigterm_received};
 use gsknn_serve::wire::{
-    decode_partial, encode_response, read_frame_poll, write_frame, PartialHeader, Precision,
-    QueryBody, Request, Response, Status,
+    encode_response, read_frame_poll, write_frame, Precision, QueryBody, Request, Response, Status,
 };
 use gsknn_serve::{wire, Client};
-use knn_select::{encoded_len_of, merge_partial_tables, NeighborTable};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,17 +126,6 @@ impl Shared {
     /// Partitions in the fan-out.
     fn partitions(&self) -> usize {
         self.cfg.backends.len() / self.replicas()
-    }
-
-    /// The live replicas of partition `p`, in preference order:
-    /// ascending EWMA reply latency, so the router sends to the replica
-    /// that has been answering fastest (replicas with no history yet
-    /// sort first and get tried, which spreads initial load).
-    fn replica_order(&self, p: usize) -> Vec<usize> {
-        let r = self.replicas();
-        let mut order: Vec<usize> = (p * r..(p + 1) * r).filter(|&i| self.up(i)).collect();
-        order.sort_by_key(|&i| self.metrics.ewma_ns(i));
-        order
     }
 
     /// The one snapshot every rendering reads: Stats JSON, the
@@ -312,8 +302,8 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
             }
             Ok(Request::TimeSeries) => {
                 // the router has no per-second load sampler (yet); answer
-                // the same shape a no-obs server does so `top` degrades
-                Response::ok_body(b"{\"enabled\": false, \"samples\": []}".to_vec())
+                // the document a no-obs server does so `top` degrades
+                Response::ok_body(timeseries_json(false, 0, &[]).to_string().into_bytes())
             }
             Ok(Request::Shutdown) => {
                 shared.shutdown.store(true, Ordering::SeqCst);
@@ -335,217 +325,9 @@ fn route_query(pool: &mut [BackendConn], q: QueryBody, shared: &Shared) -> Respo
     }
 }
 
-/// Why a backend's reply did not contribute to the merge.
-#[derive(Debug)]
-enum Reject {
-    /// Transport/protocol failure — marks the backend down.
-    Error(String),
-    /// Stale partition map — marks the backend down.
-    EpochMismatch(u64),
-    /// Typed transient refusal (`Busy`): the backend is healthy, the
-    /// query just didn't get in.
-    Busy,
-    /// The backend's own deadline ran out (`Timeout`): healthy, late.
-    TimedOut,
-    /// The backend deterministically rejected the request
-    /// (`BadRequest`, e.g. a dimension mismatch): the backend is
-    /// healthy — the *request* is wrong, and the rejection is forwarded
-    /// to the client instead of counting against backend health.
-    Bad(String),
-}
-
-/// Check one backend response: must be a `PartialTopK` envelope from the
-/// expected epoch, partition universe and *partition slice*, carrying a
-/// table of `m` rows. The slice check means a replica wired into the
-/// wrong set (serving partition 1 where the router expects partition 0)
-/// can never contribute the wrong rows to a merge.
-fn validate_partial<T: GsknnScalar>(
-    resp: &Response,
-    epoch: u64,
-    n_parts: u16,
-    m: usize,
-    expect_part: u32,
-) -> Result<(PartialHeader, NeighborTable<T>, Vec<wire::AnnexSpan>), Reject> {
-    match resp.status {
-        Status::PartialTopK => {}
-        Status::Busy => return Err(Reject::Busy),
-        Status::Timeout => return Err(Reject::TimedOut),
-        Status::BadRequest => {
-            return Err(Reject::Bad(
-                String::from_utf8_lossy(&resp.body).into_owned(),
-            ))
-        }
-        other => {
-            return Err(Reject::Error(format!(
-                "backend answered {other:?} (not in partition mode?)"
-            )))
-        }
-    }
-    let (header, table_bytes) =
-        decode_partial(&resp.body).map_err(|e| Reject::Error(format!("bad partial: {e}")))?;
-    if header.epoch != epoch {
-        return Err(Reject::EpochMismatch(header.epoch));
-    }
-    if header.total != n_parts {
-        return Err(Reject::Error(format!(
-            "backend partitioned {} ways, router fans out {}",
-            header.total, n_parts
-        )));
-    }
-    if header.partition_id != expect_part {
-        return Err(Reject::Error(format!(
-            "partial from partition {}, expected partition {expect_part}",
-            header.partition_id
-        )));
-    }
-    let table = NeighborTable::<T>::from_bytes(table_bytes)
-        .map_err(|e| Reject::Error(format!("bad partial table: {e}")))?;
-    if table.len() != m {
-        return Err(Reject::Error(format!(
-            "partial has {} rows, query has {m}",
-            table.len()
-        )));
-    }
-    // The optional span annex rides after the table bytes. It is pure
-    // observability: a missing or malformed annex never rejects an
-    // otherwise valid partial.
-    let annex = if header.has_span_annex() {
-        encoded_len_of(table_bytes)
-            .and_then(|n| table_bytes.get(n..))
-            .map(|b| wire::decode_span_annex(b).unwrap_or_default())
-            .unwrap_or_default()
-    } else {
-        Vec::new()
-    };
-    Ok((header, table, annex))
-}
-
-/// Model-derived hedge delay: wait about three EWMA reply latencies for
-/// the selected replica before racing a sibling — shorter re-sends on
-/// every healthy tail, longer forfeits the transparency window a replica
-/// exists to provide. Before any latency history, a quarter of the
-/// partition budget; always at least 1 ms and at most half the budget so
-/// the sibling keeps a real share of it.
-fn hedge_delay(ewma_ns: u64, budget: Duration) -> Duration {
-    let model = if ewma_ns == 0 {
-        budget / 4
-    } else {
-        Duration::from_nanos(ewma_ns.saturating_mul(3))
-    };
-    model.clamp(
-        Duration::from_millis(1),
-        (budget / 2).max(Duration::from_millis(1)),
-    )
-}
-
-/// What consuming one backend's pending reply produced.
-enum Pulled<T: GsknnScalar> {
-    /// A validated partial for the expected partition slice, with the
-    /// span fragments the backend shipped inline (empty when the
-    /// backend traces nothing).
-    Good(PartialHeader, NeighborTable<T>, Vec<wire::AnnexSpan>),
-    /// Typed transient refusal — the backend is healthy.
-    Busy,
-    /// The backend's own deadline ran out — healthy, late.
-    Late,
-    /// Deterministic request rejection, forwarded to the client.
-    Bad(String),
-    /// Transport/protocol/epoch failure; the backend was marked down.
-    Dead,
-}
-
-/// Read and validate the reply a backend owes for partition `p`. The
-/// caller has established (via [`Client::poll_readable`] or by accepting
-/// a block) that reading now is intended; health bookkeeping happens
-/// here so every exit leaves the pool consistent.
-fn pull_reply<T: GsknnScalar>(
-    shared: &Shared,
-    i: usize,
-    b: &mut BackendConn,
-    p: usize,
-    n_parts: u16,
-    m: usize,
-    budget: Duration,
-) -> Pulled<T> {
-    let resp = match b.client.as_mut() {
-        Some(c) => c
-            .set_io_timeout(Some(budget.max(Duration::from_millis(1))))
-            .and_then(|_| c.recv_response()),
-        None => Err(io::Error::from(io::ErrorKind::NotConnected)),
-    };
-    classify_reply(shared, i, b, p, n_parts, m, resp)
-}
-
-/// Turn the outcome of one exchange with backend `i` (serving partition
-/// `p`) into a [`Pulled`]: validate the partial, count epoch rejects,
-/// and mark the backend down on transport/protocol/epoch failure.
-fn classify_reply<T: GsknnScalar>(
-    shared: &Shared,
-    i: usize,
-    b: &mut BackendConn,
-    p: usize,
-    n_parts: u16,
-    m: usize,
-    resp: io::Result<Response>,
-) -> Pulled<T> {
-    match resp {
-        Ok(r) => match validate_partial::<T>(&r, shared.cfg.epoch, n_parts, m, p as u32) {
-            Ok((header, table, annex)) => Pulled::Good(header, table, annex),
-            Err(Reject::Busy) => Pulled::Busy,
-            Err(Reject::TimedOut) => Pulled::Late,
-            Err(Reject::Bad(msg)) => Pulled::Bad(msg),
-            Err(Reject::EpochMismatch(got)) => {
-                shared.metrics.epoch_rejects.fetch_add(1, Ordering::Relaxed);
-                backend_down(
-                    shared,
-                    i,
-                    b,
-                    &format!("partial from epoch {got}, router at {}", shared.cfg.epoch),
-                );
-                Pulled::Dead
-            }
-            Err(Reject::Error(msg)) => {
-                backend_down(shared, i, b, &msg);
-                Pulled::Dead
-            }
-        },
-        Err(e) => {
-            backend_down(shared, i, b, &e.to_string());
-            Pulled::Dead
-        }
-    }
-}
-
-/// One partition's in-flight state after the fan-out writes.
-struct Flight {
-    /// Backend currently owed a reply (the selected replica), if any
-    /// accepted the write.
-    primary: Option<usize>,
-    /// Live replicas at send time, preference order (primary first).
-    order: Vec<usize>,
-    /// When the fan-out write to the primary completed — the start of
-    /// the RTT bracket its span fragments align into.
-    sent_at: Instant,
-}
-
-/// One backend attempt that contributed a validated partial: its
-/// send→recv bracket on the router's clock plus the span fragments it
-/// shipped inline. Each becomes a parallel lane of the stitched trace,
-/// so hedge/failover siblings render side by side.
-struct LaneRec {
-    backend: usize,
-    part: usize,
-    sent_at: Instant,
-    recv_at: Instant,
-    spans: Vec<wire::AnnexSpan>,
-}
-
-/// The scatter-gather path: pipelined fan-out writes to each partition's
-/// preferred replica (lowest EWMA reply latency), send-time failover to
-/// sibling replicas, deadline-bounded collection that hedges a quiet
-/// primary against a sibling replica after a model-derived delay, exact
-/// deduplicating truncated merge, and a typed degraded reply only when
-/// an *entire* replica set is missing.
+/// The scatter-gather path: a driver over [`Race`], which makes every
+/// decision. Every first attempt is written before any wait, so
+/// partitions compute in parallel; waits run partition by partition.
 fn route_query_t<T: GsknnScalar>(
     pool: &mut [BackendConn],
     mut q: QueryBody,
@@ -553,8 +335,7 @@ fn route_query_t<T: GsknnScalar>(
 ) -> Response {
     let cfg = &shared.cfg;
     let parts = shared.partitions();
-    let total = parts as u16;
-    shared.metrics.queries.fetch_add(1, Ordering::Relaxed);
+    let query_no = shared.metrics.queries.fetch_add(1, Ordering::Relaxed);
     if q.trace_id == 0 {
         q.trace_id = shared.next_trace.fetch_add(1, Ordering::Relaxed);
     }
@@ -562,422 +343,95 @@ fn route_query_t<T: GsknnScalar>(
     let t_start = Instant::now();
     let deadline = Duration::from_millis(u64::from(q.deadline_ms.max(1)));
     let per_backend = cfg.backend_timeout.min(deadline);
-    let req = Request::Query(q.clone());
+    let mut req = Request::Query(q.clone());
     let mut spans: Vec<TraceSpan> = Vec::new();
-    let span_of = |name: &str, from: Instant, to: Instant| {
+    // times are offsets from t_start, the race's clock
+    let span_of = |name: &str, from: Duration, to: Duration| {
         TraceSpan::new(
             name,
-            (from - t_start).as_secs_f64() * 1e6,
-            (to - from).as_secs_f64() * 1e6,
+            from.as_secs_f64() * 1e6,
+            to.saturating_sub(from).as_secs_f64() * 1e6,
         )
     };
 
-    // Phase 1 — fan-out: write the query to every partition's preferred
-    // replica before blocking on any reply, so partitions compute their
-    // partials in parallel. A failed write gets one immediate retry on a
-    // fresh connection (the failure is usually a stale pooled socket),
-    // then fails over to the next sibling replica in preference order.
-    let mut flights: Vec<Flight> = Vec::with_capacity(parts);
-    for p in 0..parts {
-        let order = shared.replica_order(p);
-        let mut primary = None;
-        let mut sent_at = t_start;
-        for (tried, &i) in order.iter().enumerate() {
-            let attempt = |b: &mut BackendConn| -> io::Result<()> {
-                b.ensure(cfg.connect_timeout, per_backend)?
-                    .send_request(&req)
-            };
-            let b = &mut pool[i];
-            let sent = match attempt(b) {
-                Ok(()) => true,
-                Err(_) if cfg.hedge => {
-                    b.client = None;
-                    shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                    match attempt(b) {
-                        Ok(()) => true,
-                        Err(e) => {
-                            backend_down(shared, i, b, &e.to_string());
-                            false
+    // each partition's live replicas
+    let r = shared.replicas();
+    let plan = (0..parts)
+        .map(|p| {
+            let live = (p * r..(p + 1) * r).filter(|&b| shared.up(b));
+            live.map(|b| (b, shared.metrics.ewma_ns(b))).collect()
+        })
+        .collect();
+    let mut race = Race::<T>::new(cfg, &shared.metrics, plan, query_no, per_backend, q.m, q.k);
+    let mut events = VecDeque::from([Event::Start]);
+    let mut t_sent = None;
+    loop {
+        while let Some(ev) = events.pop_front() {
+            for action in race.on_event(t_start.elapsed(), ev) {
+                match action {
+                    Action::Send { part, backend } => {
+                        // the backend coalesces against the deadline it
+                        // sees, so it must see what the router has left
+                        let left = per_backend.saturating_sub(t_start.elapsed());
+                        if let Request::Query(body) = &mut req {
+                            let ms = left.as_micros().div_ceil(1000).max(1);
+                            body.deadline_ms = u32::try_from(ms).unwrap_or(u32::MAX);
+                        }
+                        let sent = pool[backend]
+                            .ensure(cfg.connect_timeout, per_backend)
+                            .and_then(|c| c.send_request(&req));
+                        if let Err(e) = sent {
+                            let reply = Err(e);
+                            events.push_back(Event::Reply {
+                                part,
+                                backend,
+                                reply,
+                            });
                         }
                     }
+                    Action::Drop { backend } => pool[backend].client = None,
+                    Action::Down { backend, why } => {
+                        backend_down(shared, backend, &mut pool[backend], &why)
+                    }
                 }
-                Err(e) => {
-                    backend_down(shared, i, b, &e.to_string());
-                    false
-                }
-            };
-            if sent {
-                if tried > 0 {
-                    shared
-                        .metrics
-                        .replica_failovers
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                primary = Some(i);
-                sent_at = Instant::now();
-                break;
-            }
-            if !cfg.hedge {
-                // hedging off: the first failure degrades, no failover
-                break;
             }
         }
-        flights.push(Flight {
-            primary,
-            order,
-            sent_at,
-        });
-    }
-    let t_sent = Instant::now();
-    spans.push(span_of("fanout write", t_start, t_sent));
-
-    // Phase 2 — collect: read each partition's partial, bounded by the
-    // per-backend budget measured from the fan-out start (partitions
-    // work concurrently, so budgets overlap rather than add). While the
-    // selected replica stays quiet past the model-derived hedge delay
-    // and a live sibling exists, the same query is raced against the
-    // sibling; the first valid partial wins and duplicate global ids
-    // from a double answer are deduplicated by the merge.
-    let mut tables: Vec<NeighborTable<T>> = Vec::with_capacity(parts);
-    let mut lanes: Vec<LaneRec> = Vec::new();
-    let mut contributed: u16 = 0;
-    let mut any_lane_degraded = false;
-    let (mut busy, mut late) = (0usize, 0usize);
-    let mut bad: Option<String> = None;
-    for (p, fl) in flights.iter().enumerate() {
-        let Some(prim) = fl.primary else { continue };
-        let t_wait = Instant::now();
-        let budget = per_backend
-            .saturating_sub(t_wait - t_start)
-            .max(Duration::from_millis(5));
-        let p_deadline = t_wait + budget;
-        // the sibling a hedge would race (live, not the primary)
-        let sibling = if cfg.hedge {
-            fl.order
-                .iter()
-                .copied()
-                .find(|&i| i != prim && shared.up(i))
-        } else {
-            None
+        let t = *t_sent.get_or_insert_with(|| t_start.elapsed());
+        let Some((part, until)) = race.next_wait() else {
+            spans.push(span_of("fanout write", Duration::ZERO, t));
+            break;
         };
-        let mut partition_ok = false;
-        let mut hedge_attempt: Option<(usize, Instant)> = None;
-        let mut fold =
-            |shared: &Shared, i: usize, sent_at: Instant, pulled: Pulled<T>, ok: &mut bool| {
-                match pulled {
-                    Pulled::Good(header, table, annex) => {
-                        tables.push(table);
-                        lanes.push(LaneRec {
-                            backend: i,
-                            part: p,
-                            sent_at,
-                            recv_at: Instant::now(),
-                            spans: annex,
-                        });
-                        any_lane_degraded |= header.lane_degraded();
-                        shared.metrics.record_reply(i, Instant::now() - t_sent);
-                        if !shared.up(i) {
-                            shared.mark(i, true);
-                        }
-                        *ok = true;
-                    }
-                    Pulled::Busy => busy += 1,
-                    Pulled::Late => late += 1,
-                    Pulled::Bad(msg) => {
-                        bad.get_or_insert(msg);
-                    }
-                    Pulled::Dead => {}
-                }
-            };
-        match sibling {
-            None => {
-                // unreplicated partition (or no live sibling): block on
-                // the primary; a dead exchange hedges once with a full
-                // round trip on a fresh connection, same backend — the
-                // pre-replication contract.
-                let b = &mut pool[prim];
-                let resp = match b.client.as_mut() {
-                    Some(c) => c
-                        .set_io_timeout(Some(budget))
-                        .and_then(|_| c.recv_response()),
-                    None => Err(io::Error::from(io::ErrorKind::NotConnected)),
-                };
-                let mut attempt_sent = fl.sent_at;
-                let resp = match resp {
-                    Ok(r) => Ok(r),
-                    Err(_) if cfg.hedge => {
-                        b.client = None;
-                        shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                        attempt_sent = Instant::now();
-                        b.ensure(cfg.connect_timeout, budget)
-                            .and_then(|c| c.request(&req))
-                    }
-                    Err(e) => Err(e),
-                };
-                let pulled = classify_reply::<T>(shared, prim, b, p, total, q.m, resp);
-                fold(shared, prim, attempt_sent, pulled, &mut partition_ok);
-            }
-            Some(sib) => {
-                // replicated partition: give the primary its hedge
-                // window, then race the sibling against it.
-                let window = hedge_delay(shared.metrics.ewma_ns(prim), budget);
-                let primary_ready = match pool[prim].client.as_mut() {
-                    Some(c) => c.poll_readable(window).unwrap_or(false),
-                    None => false,
-                };
-                if primary_ready {
-                    let left = p_deadline.saturating_duration_since(Instant::now());
-                    let pulled =
-                        pull_reply::<T>(shared, prim, &mut pool[prim], p, total, q.m, left);
-                    fold(shared, prim, fl.sent_at, pulled, &mut partition_ok);
-                }
-                if !partition_ok {
-                    // hedge: send the query to the sibling replica (a
-                    // failed write burns the hedge — the merge will
-                    // degrade only if the primary also stays quiet)
-                    shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                    let t_hedge = Instant::now();
-                    let sib_sent = pool[sib]
-                        .ensure(cfg.connect_timeout, budget)
-                        .and_then(|c| c.send_request(&req))
-                        .inspect_err(|e| {
-                            backend_down(shared, sib, &mut pool[sib], &e.to_string());
-                        })
-                        .is_ok();
-                    if sib_sent {
-                        hedge_attempt = Some((sib, t_hedge));
-                    }
-                    let mut primary_pending = !primary_ready && pool[prim].client.is_some();
-                    let mut sibling_pending = sib_sent;
-                    let mut primary_good = false;
-                    let mut sibling_good = false;
-                    while !partition_ok
-                        && (primary_pending || sibling_pending)
-                        && Instant::now() < p_deadline
-                    {
-                        let slice = Duration::from_millis(2)
-                            .min(p_deadline.saturating_duration_since(Instant::now()));
-                        if primary_pending {
-                            match pool[prim].client.as_mut().map(|c| c.poll_readable(slice)) {
-                                Some(Ok(true)) => {
-                                    primary_pending = false;
-                                    let left = p_deadline.saturating_duration_since(Instant::now());
-                                    let pulled = pull_reply::<T>(
-                                        shared,
-                                        prim,
-                                        &mut pool[prim],
-                                        p,
-                                        total,
-                                        q.m,
-                                        left,
-                                    );
-                                    primary_good = matches!(pulled, Pulled::Good(..));
-                                    fold(shared, prim, fl.sent_at, pulled, &mut partition_ok);
-                                }
-                                Some(Ok(false)) => {}
-                                Some(Err(e)) => {
-                                    primary_pending = false;
-                                    backend_down(shared, prim, &mut pool[prim], &e.to_string());
-                                }
-                                None => primary_pending = false,
-                            }
-                        }
-                        if partition_ok {
-                            break;
-                        }
-                        if sibling_pending {
-                            match pool[sib].client.as_mut().map(|c| c.poll_readable(slice)) {
-                                Some(Ok(true)) => {
-                                    sibling_pending = false;
-                                    let left = p_deadline.saturating_duration_since(Instant::now());
-                                    let pulled = pull_reply::<T>(
-                                        shared,
-                                        sib,
-                                        &mut pool[sib],
-                                        p,
-                                        total,
-                                        q.m,
-                                        left,
-                                    );
-                                    sibling_good = matches!(pulled, Pulled::Good(..));
-                                    fold(shared, sib, t_hedge, pulled, &mut partition_ok);
-                                }
-                                Some(Ok(false)) => {}
-                                Some(Err(e)) => {
-                                    sibling_pending = false;
-                                    backend_down(shared, sib, &mut pool[sib], &e.to_string());
-                                }
-                                None => sibling_pending = false,
-                            }
-                        }
-                    }
-                    // an unread in-flight reply would poison the next
-                    // query on that socket: fold it if it is already
-                    // here (the merge dedups the duplicate global ids a
-                    // double answer carries); a silent replica at a
-                    // missed budget is marked down so the prober owns
-                    // its recovery; a merely-slow loser's connection is
-                    // dropped so the next query redials.
-                    for (idx, pending) in [(prim, primary_pending), (sib, sibling_pending)] {
-                        if !pending {
-                            continue;
-                        }
-                        let ready = pool[idx]
-                            .client
-                            .as_mut()
-                            .map(|c| c.poll_readable(Duration::from_millis(1)).unwrap_or(false))
-                            .unwrap_or(false);
-                        if ready {
-                            let pulled = pull_reply::<T>(
-                                shared,
-                                idx,
-                                &mut pool[idx],
-                                p,
-                                total,
-                                q.m,
-                                Duration::from_millis(5),
-                            );
-                            if matches!(pulled, Pulled::Good(..)) {
-                                if idx == prim {
-                                    primary_good = true;
-                                } else {
-                                    sibling_good = true;
-                                }
-                            }
-                            let sent = if idx == prim { fl.sent_at } else { t_hedge };
-                            fold(shared, idx, sent, pulled, &mut partition_ok);
-                        } else if !partition_ok {
-                            backend_down(
-                                shared,
-                                idx,
-                                &mut pool[idx],
-                                "no partial within the partition budget",
-                            );
-                        } else {
-                            pool[idx].client = None;
-                        }
-                    }
-                    // settle the race's books: a hedge is *lost* when
-                    // the primary produced a valid partial after all,
-                    // *won* when only the sibling saved the partition —
-                    // which is also a failover (the selected replica
-                    // failed mid-query and a sibling's answer was used).
-                    if primary_good {
-                        shared
-                            .metrics
-                            .replica_hedges_lost
-                            .fetch_add(1, Ordering::Relaxed);
-                    } else if sibling_good {
-                        shared
-                            .metrics
-                            .replica_hedges_won
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .metrics
-                            .replica_failovers
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        let t_got = Instant::now();
-        // One wait span per replica attempt, named distinctly so hedge
-        // races read as parallel attempts in the stitched trace.
-        let r = shared.replicas();
-        spans.push(span_of(
-            &format!("partition {p} replica {} wait", prim % r),
-            t_wait,
-            t_got,
-        ));
-        if let Some((sib, t_hedge)) = hedge_attempt {
-            spans.push(span_of(
-                &format!("partition {p} replica {} wait", sib % r),
-                t_hedge,
-                t_got,
-            ));
-        }
-        if partition_ok {
-            contributed += 1;
-        }
+        let pending: Vec<usize> = race.pending(part).collect();
+        let ev = await_reply(pool, part, &pending, t_start, until, per_backend);
+        events.push_back(ev);
     }
 
-    // Phase 3 — merge the survivors and pick the reply shape.
-    let t_merge = Instant::now();
-    let resp = if contributed == 0 {
-        if let Some(msg) = bad {
-            // deterministic rejection — the request, not a backend, is
-            // at fault, so forward the backend's own message
-            Response::bad_request(msg)
-        } else if busy > 0 && busy == flights.iter().filter(|f| f.primary.is_some()).count() {
-            Response::empty(Status::Busy)
-        } else if late > 0 {
-            Response::empty(Status::Timeout)
-        } else {
-            Response::internal_error("no partition answered")
-        }
-        .with_trace(trace_id)
-    } else {
-        let refs: Vec<&NeighborTable<T>> = tables.iter().collect();
-        match merge_partial_tables(&refs, q.k) {
-            None => Response::internal_error("partition shape mismatch in merge"),
-            Some(merged) => {
-                let mut body = Vec::with_capacity(merged.encoded_len());
-                if contributed < total {
-                    shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-                    PartialHeader {
-                        partition_id: u32::MAX,
-                        epoch: cfg.epoch,
-                        contributed,
-                        total,
-                        flags: any_lane_degraded as u8,
-                        // a router-merged answer is not a replica
-                        replica_id: 0,
-                        replicas: 1,
-                    }
-                    .encode_into(&mut body);
-                    merged.encode_into(&mut body);
-                    Response {
-                        status: Status::OkDegraded,
-                        trace_id,
-                        body,
-                    }
-                } else {
-                    // all partitions answered: the merged table is
-                    // bit-identical to a single node's — reply exactly
-                    // like one (degraded lane included)
-                    merged.encode_into(&mut body);
-                    let status = if any_lane_degraded {
-                        Status::OkDegraded
-                    } else {
-                        Status::Ok
-                    };
-                    Response {
-                        status,
-                        trace_id,
-                        body,
-                    }
-                }
-            }
-        }
-    };
-    let t_done = Instant::now();
+    let t_merge = t_start.elapsed();
+    let (resp, lanes, waits) = race.finish(trace_id);
+    let t_done = t_start.elapsed();
+    // one wait span per attempt, named by replica, so hedge races read
+    // as parallel attempts in the stitched trace
+    for &(backend, sent, end) in &waits {
+        let name = format!("partition {} replica {} wait", backend / r, backend % r);
+        spans.push(span_of(&name, sent, end));
+    }
     spans.push(span_of("merge", t_merge, t_done));
 
     // Per-stage attribution. The fan-out reaches every partition up
     // front, so the per-partition rtt brackets overlap in wall clock —
     // summing raw backend span durations would attribute more time than
     // the route took. Instead, sweep the winning lanes' brackets in
-    // collection order and charge each lane only its not-yet-accounted
+    // partition order and charge each lane only its not-yet-accounted
     // segment, split between kernel and queue/coalesce wait in the
     // proportion the backend itself reported. merge is measured
     // directly; network is the non-negative residual, so the four
     // stages add up to (about) the client-observed rtt.
     let mut stages = StageBreakdown::default();
-    let mut seen = vec![false; parts];
-    let mut cursor = t_start;
+    let mut cursor = Duration::ZERO;
     for l in &lanes {
-        if std::mem::replace(&mut seen[l.part], true) {
-            continue; // a hedge double answer: only the first lane counts
+        // a backend that answered is back in the fan-out
+        if !shared.up(l.backend) {
+            shared.mark(l.backend, true);
         }
         let (mut wait_ns, mut kernel_ns) = (0u64, 0u64);
         for s in &l.spans {
@@ -987,15 +441,8 @@ fn route_query_t<T: GsknnScalar>(
                 wait_ns += s.dur_ns;
             }
         }
-        let lo = if l.sent_at > cursor {
-            l.sent_at
-        } else {
-            cursor
-        };
-        let seg_ns = l.recv_at.saturating_duration_since(lo).as_nanos() as u64;
-        if l.recv_at > cursor {
-            cursor = l.recv_at;
-        }
+        let seg_ns = l.recv.saturating_sub(l.sent.max(cursor)).as_nanos() as u64;
+        cursor = cursor.max(l.recv);
         let reported_ns = wait_ns + kernel_ns;
         if reported_ns > 0 && seg_ns > 0 {
             stages.kernel_ns += (kernel_ns as u128 * seg_ns as u128 / reported_ns as u128) as u64;
@@ -1004,7 +451,7 @@ fn route_query_t<T: GsknnScalar>(
         }
     }
     stages.merge_ns = (t_done - t_merge).as_nanos() as u64;
-    let route_ns = (t_done - t_start).as_nanos() as u64;
+    let route_ns = t_done.as_nanos() as u64;
     stages.network_ns =
         route_ns.saturating_sub(stages.backend_wait_ns + stages.kernel_ns + stages.merge_ns);
     shared.metrics.record_stages(&stages);
@@ -1026,21 +473,20 @@ fn route_query_t<T: GsknnScalar>(
                 )
             })
             .collect();
-        let bracket_lo = (l.sent_at - t_start).as_secs_f64() * 1e6;
-        let bracket_hi = (l.recv_at - t_start).as_secs_f64() * 1e6;
-        for sp in align_spans(&frag, bracket_lo, bracket_hi) {
+        let (lo, hi) = (l.sent.as_secs_f64() * 1e6, l.recv.as_secs_f64() * 1e6);
+        for sp in align_spans(&frag, lo, hi) {
             spans.push(sp.on_track(lane_no as u32 + 1));
         }
     }
 
-    let total_us = (t_done - t_start).as_secs_f64() * 1e6;
+    let total_us = t_done.as_secs_f64() * 1e6;
     if let Some(ms) = cfg.slow_query_ms {
-        if t_done - t_start >= Duration::from_millis(ms) {
+        if t_done >= Duration::from_millis(ms) {
             eprintln!(
                 "gsknn-router: slow query trace {trace_id:016x}: {:.1} ms, {} of {} partitions, status {:?} [{}]",
                 total_us / 1e3,
-                contributed,
-                total,
+                lanes.len(),
+                parts,
                 resp.status,
                 stages.render_line()
             );
@@ -1057,6 +503,45 @@ fn route_query_t<T: GsknnScalar>(
         spans,
     });
     resp
+}
+
+/// Carry out [`Race::next_wait`]: poll `part`'s `pending` attempts until
+/// `until`, at least once — one blocking poll for a lone attempt, 2 ms
+/// turns in a hedge race — and read the first that turns readable.
+fn await_reply(
+    pool: &mut [BackendConn],
+    part: usize,
+    pending: &[usize],
+    t_start: Instant,
+    until: Duration,
+    deadline: Duration,
+) -> Event {
+    let turn = Duration::from_millis(if pending.len() > 1 { 2 } else { u64::MAX });
+    loop {
+        for &backend in pending {
+            let left = until.saturating_sub(t_start.elapsed()).min(turn);
+            let reply = match pool[backend].client.as_mut() {
+                None => Err(io::Error::from(io::ErrorKind::NotConnected)),
+                Some(c) => match c.poll_readable(left) {
+                    Ok(false) => continue,
+                    Ok(true) => {
+                        let bound = deadline.saturating_sub(t_start.elapsed());
+                        c.set_io_timeout(Some(bound.max(Duration::from_millis(1))))
+                            .and_then(|_| c.recv_response())
+                    }
+                    Err(e) => Err(e),
+                },
+            };
+            return Event::Reply {
+                part,
+                backend,
+                reply,
+            };
+        }
+        if t_start.elapsed() >= until {
+            return Event::Quiet { part };
+        }
+    }
 }
 
 /// Flip backend `i` out of the fan-out and drop its pooled connection.
@@ -1105,6 +590,14 @@ fn prober(shared: &Shared) {
         }
     }
 }
+
+// the unit tests below reach these through `use super::*`
+#[cfg(test)]
+use {
+    crate::race::{hedge_delay, validate_partial, Reject},
+    gsknn_serve::wire::PartialHeader,
+    knn_select::NeighborTable,
+};
 
 #[cfg(test)]
 mod tests {

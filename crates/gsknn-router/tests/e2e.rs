@@ -16,6 +16,8 @@ use gsknn_core::GsknnScalar;
 use gsknn_router::{Router, RouterConfig};
 use gsknn_serve::{Client, Outcome, PartitionCfg, ServeIndex, Server, ServerConfig};
 use knn_select::{Neighbor, NeighborTable};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -502,4 +504,108 @@ fn partitioned_backend_answers_with_global_ids() {
     }
     shutdown(&b);
     h.join().expect("drain");
+}
+
+/// A wedged-but-alive backend: accepts connections and drains whatever
+/// it is sent, never answering, until `stop` is set.
+fn spawn_black_hole(stop: Arc<AtomicBool>) -> (String, JoinHandle<()>) {
+    use std::io::Read;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind black hole");
+    let addr = listener.local_addr().expect("black hole addr").to_string();
+    listener.set_nonblocking(true).expect("nonblocking accept");
+    let handle = std::thread::spawn(move || {
+        let mut conns = Vec::new();
+        while !stop.load(Ordering::SeqCst) {
+            if let Ok((s, _)) = listener.accept() {
+                s.set_nonblocking(true).ok();
+                conns.push(s);
+            }
+            let mut buf = [0u8; 4096];
+            for c in &mut conns {
+                let _ = c.read(&mut buf);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+    (addr, handle)
+}
+
+#[test]
+fn wedged_partition_costs_one_deadline_not_two() {
+    const DEADLINE_MS: u32 = 100;
+    let full = uniform(N, D, 4);
+    let half = N / 2;
+    // partition 0 is the hole, so its wait starts with the fan-out
+    let stop = Arc::new(AtomicBool::new(false));
+    let (hole, hh) = spawn_black_hole(stop.clone());
+    let (b1, h1) = spawn_server(
+        "127.0.0.1:0",
+        slice_rows(&full, half, N),
+        Some(PartitionCfg::solo(1, 2, half as u32, EPOCH)),
+    );
+    let router = Router::bind(RouterConfig {
+        backends: vec![hole, b1.clone()],
+        epoch: EPOCH,
+        // far past the query deadline: the deadline, not this, bounds
+        // the wait (and the prober's ping of the hole)
+        backend_timeout: Duration::from_millis(500),
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let raddr = router.local_addr().expect("router addr").to_string();
+    let hr = std::thread::spawn(move || router.run());
+
+    let mut client = Client::connect(&raddr).expect("connect router");
+    let queries = uniform(1, D, 8);
+    let q = queries.point(0);
+    let started = Instant::now();
+    let reply = client
+        .query::<f64>(q, 1, K, DEADLINE_MS)
+        .expect("routed query");
+    let elapsed = started.elapsed();
+    match reply.outcome {
+        Outcome::DegradedPartial {
+            table,
+            contributed,
+            total,
+        } => {
+            assert_eq!((contributed, total), (1, 2), "partition counts");
+            let want = oracle_row::<f64>(&full, half..N, q, K);
+            assert_rows_match_oracle(&table, &[want], "degraded merge vs partition-1 oracle");
+        }
+        other => panic!("a wedged partition must degrade typed, got {other:?}"),
+    }
+    let bound = Duration::from_millis(u64::from(DEADLINE_MS) * 3 / 2);
+    assert!(
+        elapsed < bound,
+        "the routed reply took {elapsed:?}, past 1.5 x the {DEADLINE_MS} ms deadline"
+    );
+
+    Client::connect(&raddr).unwrap().shutdown().unwrap();
+    hr.join().expect("router drain");
+    stop.store(true, Ordering::SeqCst);
+    hh.join().expect("black hole stop");
+    shutdown(&b1);
+    h1.join().expect("backend drain");
+}
+
+#[test]
+fn router_timeseries_reply_is_the_disabled_document() {
+    // never dialed: no query is routed
+    let router = Router::bind(RouterConfig {
+        backends: vec!["127.0.0.1:9".to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let raddr = router.local_addr().expect("router addr").to_string();
+    let hr = std::thread::spawn(move || router.run());
+    let mut client = Client::connect(&raddr).expect("connect router");
+    let body = client.timeseries_json().expect("TimeSeries op");
+    let doc: serde_json::Value = serde_json::from_str(&body).expect("TimeSeries reply is JSON");
+    let (enabled, _, samples) =
+        gsknn_obs::parse_timeseries(&doc).expect("`top` must be able to read the reply");
+    assert!(!enabled, "the router has no sampler: {body}");
+    assert!(samples.is_empty(), "{body}");
+    client.shutdown().unwrap();
+    hr.join().expect("router drain");
 }

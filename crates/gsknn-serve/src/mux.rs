@@ -70,7 +70,19 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
-    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+    let nfds = fds.len() as u64;
+    debug_assert_eq!(nfds as usize, fds.len(), "nfds must count the whole slice");
+    debug_assert_eq!(
+        std::mem::size_of::<PollFd>(),
+        8,
+        "PollFd must be a struct pollfd"
+    );
+    // SAFETY: poll(2) reads and writes `nfds` `struct pollfd`s from the
+    // pointer on. `PollFd` is `#[repr(C)]` with the kernel's layout, and
+    // pointer and count come from one live `&mut` slice, so every element
+    // the kernel touches lies inside it and nothing else aliases it for
+    // the call.
+    let rc = unsafe { poll(fds.as_mut_ptr(), nfds, timeout_ms) };
     if rc >= 0 {
         return Ok(rc as usize);
     }

@@ -80,9 +80,14 @@ pub fn install_sigterm() {
             fn signal(signum: i32, handler: usize) -> usize;
         }
         const SIGTERM_NUM: i32 = 15;
-        unsafe {
-            signal(SIGTERM_NUM, on_term as *const () as usize);
-        }
+        /// `SIG_ERR`: `(sighandler_t) -1`.
+        const SIG_ERR: usize = usize::MAX;
+        // SAFETY: signal(2) takes a signal number and a handler address.
+        // `on_term` is an `extern "C" fn(i32)`, the handler ABI, and lives
+        // as long as the program; it only stores to a static atomic, which
+        // is async-signal-safe. 15 is SIGTERM on every unix target.
+        let prev = unsafe { signal(SIGTERM_NUM, on_term as *const () as usize) };
+        debug_assert_ne!(prev, SIG_ERR, "signal(SIGTERM) was refused");
     }
 }
 

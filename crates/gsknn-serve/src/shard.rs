@@ -1251,9 +1251,14 @@ fn pin_to_core(core: usize) {
         let mut set = CpuSet { bits: [0; 16] };
         let idx = core % 1024;
         set.bits[idx / 64] = 1u64 << (idx % 64);
+        let size = std::mem::size_of::<CpuSet>();
+        debug_assert_eq!(size, 1024 / 8, "CpuSet must be a 1024-bit cpu_set_t");
+        // SAFETY: sched_setaffinity(2) only reads `cpusetsize` bytes from
+        // `mask`; `set` is a live, initialised `CpuSet` and `size` is
+        // exactly its byte size. pid 0 names the calling thread; failure
+        // just means no pinning.
         unsafe {
-            // pid 0 = the calling thread; failure just means no pinning
-            let _ = sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set);
+            let _ = sched_setaffinity(0, size, &set);
         }
     }
     #[cfg(not(target_os = "linux"))]
