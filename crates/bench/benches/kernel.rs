@@ -7,7 +7,7 @@ use dataset::{uniform, DistanceKind};
 use gsknn_core::{GemmParams, Gsknn, GsknnConfig, Variant};
 use knn_ref::{single_loop_knn, GemmKnn};
 
-fn bench_kernel_low_d(c: &mut Criterion) {
+fn kernel_low_d(c: &mut Criterion) {
     // d = 16, k = 16: GSKNN's sweet spot (memory-bound for GEMM)
     let (m, n, d, k) = (512usize, 512usize, 16usize, 16usize);
     let x = uniform(m + n, d, 3);
@@ -42,7 +42,7 @@ fn bench_kernel_low_d(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kernel_high_d(c: &mut Criterion) {
+fn kernel_high_d(c: &mut Criterion) {
     // d = 512: GEMM amortizes; the gap should close (Figure 4's right edge)
     let (m, n, d, k) = (256usize, 256usize, 512usize, 16usize);
     let x = uniform(m + n, d, 9);
@@ -91,6 +91,6 @@ fn bench_norms_end_to_end(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_kernel_low_d, bench_kernel_high_d, bench_norms_end_to_end
+    targets = kernel_low_d, kernel_high_d, bench_norms_end_to_end
 }
 criterion_main!(benches);

@@ -45,7 +45,6 @@ fn run(cmd: &str, args: &ArgMap) -> Result<String, cli::CliError> {
         "query-remote" => commands::cmd_query_remote(args),
         "trace" => commands::cmd_trace(args),
         "top" => commands::cmd_top(args),
-        "bench-diff" => commands::cmd_bench_diff(args),
         "help" | "--help" | "-h" => Ok(commands::usage()),
         other => Err(cli::CliError(format!(
             "unknown command '{other}'\n{}",

@@ -17,7 +17,9 @@
 //! 4. in the scatter-gather tier, killing a backend mid-stream yields a
 //!    *typed* `DegradedPartial` (never an error) that is the exact merge
 //!    of the surviving partitions, and a restarted backend rejoins and
-//!    restores answers bit-identical to a single node.
+//!    restores answers bit-identical to a single node,
+//! 5. a coalescer forced to flush early runs the same queries in smaller
+//!    batches and still answers each one bit-identically to brute force.
 #![cfg(feature = "faults")]
 
 use gsknn::core::{BatchScratch, PackedRefs};
@@ -61,11 +63,52 @@ fn start_server() -> (SocketAddr, thread::JoinHandle<gsknn::serve::ServeReport>)
     (addr, thread::spawn(move || server.run()))
 }
 
+/// Connections in the coalescing burst of phases 0 and 9, and the
+/// single-point queries each sends.
+const BURST_CLIENTS: usize = 4;
+const BURST_QUERIES: usize = 6;
+
 fn counter(stats: &Value, key: &str) -> u64 {
     stats
         .get(key)
         .and_then(|v| v.as_u64())
         .unwrap_or_else(|| panic!("stats JSON missing {key}: {stats:?}"))
+}
+
+/// `BURST_CLIENTS` connections each send `BURST_QUERIES` single-point
+/// queries, closed loop, and every answer must be the brute-force ids.
+/// Returns the mean batch size the server ran them in and the deadline
+/// flushes it made, both from its `Stats` op before and after.
+fn coalescing_burst(addr: SocketAddr, refs: &PointSet<f64>, pool: &PointSet<f64>) -> (f64, u64) {
+    let stats = || -> Value {
+        let text = Client::connect(addr)
+            .and_then(|mut c| c.stats())
+            .expect("stats");
+        serde_json::from_str(&text).expect("stats JSON")
+    };
+    let before = stats();
+    thread::scope(|s| {
+        for c in 0..BURST_CLIENTS {
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for r in 0..BURST_QUERIES {
+                    let q = pool.point((c * BURST_QUERIES + r) % pool.len());
+                    let out = client.query::<f64>(q, 1, K, 200).unwrap().outcome;
+                    let Outcome::Neighbors(t) = out else {
+                        panic!("burst client {c} query {r} must succeed, got {out:?}");
+                    };
+                    let got: Vec<u32> = t.row(0).iter().map(|nb| nb.idx).collect();
+                    assert_eq!(got, brute_indices(refs, q, K), "burst client {c} query {r}");
+                }
+            });
+        }
+    });
+    let after = stats();
+    let delta = |key: &str| counter(&after, key) - counter(&before, key);
+    (
+        delta("queries") as f64 / delta("batches") as f64,
+        delta("flush_deadline"),
+    )
 }
 
 /// The injected panic is catchable *outside* the server too: a direct
@@ -159,6 +202,13 @@ fn chaos_faults_are_survived_and_recall_is_unchanged() {
         let got: Vec<u32> = t.row(0).iter().map(|nb| nb.idx).collect();
         assert_eq!(got, brute_indices(&refs, q, K), "baseline query {i}");
     }
+    // ...and from concurrent clients, whose queries coalesce: phase 9
+    // runs the same burst with early flushes forced
+    let (healthy_batch_m, _) = coalescing_burst(addr, &refs, &pool);
+    assert!(
+        healthy_batch_m > 1.0,
+        "concurrent queries must share batches: mean batch {healthy_batch_m:.2}"
+    );
 
     // -- phase 1: worker killed mid-batch -----------------------------
     // The next batch execution panics (Nth(1) is one-shot). The query
@@ -322,6 +372,39 @@ fn chaos_faults_are_survived_and_recall_is_unchanged() {
 
     // -- phase 8: replica killed under the replicated router ----------
     replica_kill_is_transparent_until_the_whole_set_dies();
+
+    // -- phase 9: the coalescer flushes every batch early --------------
+    premature_flushes_shrink_batches_not_answers(&refs, &pool, healthy_batch_m);
+}
+
+/// With `CoalesceFlush` armed, every parked batch flushes the moment the
+/// shard checks it, booked as a deadline flush: phase 0's burst, against
+/// a server of the same configuration, runs in smaller batches, and
+/// every answer is still the brute-force one. Runs as a phase of the
+/// single chaos test because the fault registry is global.
+fn premature_flushes_shrink_batches_not_answers(
+    refs: &PointSet<f64>,
+    pool: &PointSet<f64>,
+    healthy_batch_m: f64,
+) {
+    let (addr, handle) = start_server();
+    gsknn_faults::configure(FaultPlan::new(0xF1A5).with(FaultPoint::CoalesceFlush, Mode::Always));
+    let (batch_m, deadline_flushes) = coalescing_burst(addr, refs, pool);
+    assert!(
+        gsknn_faults::fired(FaultPoint::CoalesceFlush) >= 1,
+        "the forced flush must fire"
+    );
+    gsknn_faults::clear();
+    assert!(
+        deadline_flushes >= 1,
+        "forced flushes count as deadline flushes"
+    );
+    assert!(
+        batch_m < healthy_batch_m,
+        "forced flushes must shrink batches: mean {batch_m:.2} vs {healthy_batch_m:.2} healthy"
+    );
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    handle.join().expect("server drain");
 }
 
 /// A batch panic inside one shard of a 2-shard server must stay inside
