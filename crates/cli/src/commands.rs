@@ -1368,7 +1368,7 @@ mod tests {
             gsknn_serve::Server::bind(gsknn_serve::ServerConfig::default(), index).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run());
-        // put some load through so the sampler has a live second
+        // put some load through so the time-series has a live second
         cmd_query_remote(&argmap(&format!("--addr {addr} --m 6 --d 8 --k 3"))).unwrap();
 
         let raw = cmd_query_remote(&argmap(&format!("--addr {addr} --op timeseries"))).unwrap();
@@ -1387,7 +1387,7 @@ mod tests {
         assert!(enabled);
         assert_eq!(window_s, gsknn_serve::WINDOW_S);
         let arrivals: u64 = samples.iter().map(|s| s.arrivals).sum();
-        assert!(arrivals >= 1, "sampler saw the queries: {samples:?}");
+        assert!(arrivals >= 1, "time-series saw the queries: {samples:?}");
 
         cmd_query_remote(&argmap(&format!("--addr {addr} --op shutdown"))).unwrap();
         handle.join().unwrap();

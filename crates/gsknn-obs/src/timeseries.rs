@@ -1,8 +1,9 @@
 //! Windowed load time-series: per-second snapshots of the serving layer.
 //!
-//! The serve-side sampler (gsknn-serve's `LoadSampler`) keeps a fixed
-//! ring of these, one slot per wall-clock second; this module owns the
-//! *data* shape — [`LoadSample`] — its JSON wire form (the `TimeSeries`
+//! gsknn-serve keeps a fixed ring of these, one row per wall-clock
+//! second, each the growth of the server's cumulative counters over that
+//! second (so the rows sum to its `Stats`); this module owns the *data*
+//! shape — [`LoadSample`] — its JSON wire form (the `TimeSeries`
 //! op's body), and the terminal rendering `gsknn-cli top` uses. Keeping
 //! the types here lets the CLI parse and render a dump without linking
 //! the server.

@@ -50,6 +50,15 @@
 //!   panic/respawn and degradation counts, p50/p90/p99/p999 latency),
 //!   also rendered as a Prometheus-style plaintext exposition (the
 //!   `Metrics` wire op or [`ServerConfig::metrics_addr`]).
+//!   The same counters feed continuous performance accounting under the
+//!   zero-sized-without-`obs` guarantee: a per-second load time-series
+//!   (arrivals, queue depth, batch-size mean, flush reasons, aggregate
+//!   kernel-phase split) whose rows the overload monitor derives from
+//!   them — so they sum to the report — exported via the `TimeSeries`
+//!   wire op and rendered by `gsknn-cli top`, plus a roofline recorder
+//!   classifying every executed batch against the §2.6 machine
+//!   asymptotes (compute- / bandwidth- / coalesce- / queue-bound with a
+//!   headroom gauge, surfaced in the [`gsknn_obs::ServeReport`]).
 //! * `trace` — the request-scoped span recorder: every query carries a
 //!   trace id (echoed in the response header) and, with the `obs`
 //!   feature, a span timeline (decode, admission, coalesce wait,
@@ -60,15 +69,6 @@
 //!   fetchable by id via `TraceFetch`) so a router can stitch one
 //!   end-to-end distributed trace. Without `obs` the recorder and the
 //!   fragment ring are zero-sized and the hot path does no span work.
-//! * [`sampler`] — continuous performance accounting under the same
-//!   zero-sized-without-`obs` guarantee: a lock-free per-second load
-//!   sampler (arrival rate, queue depth, batch-size mean, flush
-//!   reasons, aggregate kernel-phase split) exported via the
-//!   `TimeSeries` wire op and rendered by `gsknn-cli top`, plus a
-//!   roofline recorder classifying every executed batch against the
-//!   §2.6 machine asymptotes (compute- / bandwidth- / coalesce- /
-//!   queue-bound with a headroom gauge, surfaced in the
-//!   [`gsknn_obs::ServeReport`]).
 //!
 //! Failure semantics: shard batches run under `catch_unwind`; a panic
 //! answers every in-flight request in the batch with
@@ -109,7 +109,6 @@ pub mod degrade;
 pub mod metrics;
 pub mod mux;
 pub mod retry;
-pub mod sampler;
 pub mod server;
 mod shard;
 mod trace;
@@ -121,9 +120,8 @@ pub use coalesce::{
 };
 pub use degrade::{degraded_target, OverloadDetector, Transition};
 pub use gsknn_obs::ServeReport;
-pub use metrics::Metrics;
+pub use metrics::{Metrics, RooflineRecorder, WINDOW_S};
 pub use retry::RetryPolicy;
-pub use sampler::{LoadSampler, RooflineRecorder, WINDOW_S};
 pub use server::{PartitionCfg, ServeIndex, Server, ServerConfig};
 pub use wire::{
     decode_partial, is_partial_body, PartialHeader, Precision, Request, Response, Status,

@@ -1,22 +1,50 @@
-//! Shared server counters: lock-free atomics on the request path,
-//! a mutex only on the per-batch cost sums (a few updates per flush).
-//! Snapshots render as a [`gsknn_obs::ServeReport`].
+//! The server's counters — the one place each serving event is counted:
+//! lock-free atomics on the request path, a per-shard mutex only on the
+//! per-batch cost sums (one update per flush). Snapshots render as a
+//! [`gsknn_obs::ServeReport`], and the per-second `TimeSeries` rows
+//! ([`LoadSeries`]) are differences of the same counters, so they sum
+//! to the report.
+//!
+//! [`RooflineRecorder`] classifies every executed batch against the
+//! §2.6 machine asymptotes ([`gsknn_obs::roofline`]) and aggregates per
+//! (lane × bound-class) counters plus the headroom gauge, surfaced as
+//! [`gsknn_obs::RooflineRow`]s in the report. It, the time-series ring
+//! and the per-phase kernel counters follow the
+//! [`crate::trace::ReqTrace`] discipline: **zero-sized no-ops without
+//! the `obs` cargo feature** (the guard test checks the size
+//! structurally).
 
 use crate::coalesce::FlushReason;
-use crate::sampler::RooflineRecorder;
 use crate::wire::Status;
+use gsknn_core::model::Approach;
+use gsknn_core::obs::PhaseSet;
+#[cfg(feature = "obs")]
+use gsknn_core::obs::{Phase, PHASE_COUNT};
+use gsknn_core::Model;
 #[cfg(feature = "obs")]
 use gsknn_obs::hist::Exemplars;
 use gsknn_obs::hist::LatencyHistogram;
+#[cfg(feature = "obs")]
+use gsknn_obs::roofline::{classify, RooflineInputs};
 use gsknn_obs::serve::{
     batch_bucket, FlushCounts, LatencyRow, ServeReport, ShardRow, BATCH_BUCKETS,
 };
+use gsknn_obs::timeseries::timeseries_json;
+#[cfg(feature = "obs")]
+use gsknn_obs::timeseries::LoadSample;
+use gsknn_obs::RooflineRow;
+use serde_json::Value;
+#[cfg(feature = "obs")]
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// Lane labels, indexed by lane (0 = f64, 1 = f32).
 pub const LANES: [&str; 2] = ["f64", "f32"];
+
+/// Ring length: closed seconds of history the time-series keeps.
+pub const WINDOW_S: u64 = 120;
 
 #[derive(Default)]
 struct CostSums {
@@ -26,9 +54,65 @@ struct CostSums {
     terms: Vec<(String, f64)>,
 }
 
-/// Per-shard counters — the only home of the batch, query, panic and
-/// roofline counts. Each shard thread bumps only its own entry, so the
-/// cache line never bounces between cores; the report sums them into
+impl CostSums {
+    fn add_term(&mut self, name: &str, s: f64) {
+        match self.terms.iter_mut().find(|(n, _)| n == name) {
+            Some((_, sum)) => *sum += s,
+            None => self.terms.push((name.to_string(), s)),
+        }
+    }
+}
+
+/// One executed batch, as [`ShardStat::record_flush`] counts it.
+#[cfg_attr(not(feature = "obs"), allow(dead_code))]
+pub(crate) struct Batch<'a> {
+    /// Lane index into [`LANES`] and its element width in bytes.
+    pub lane: usize,
+    pub elem_bytes: usize,
+    /// The lane's `for_scalar`-rescaled model and how its kernel calls run.
+    pub model: &'a Model,
+    pub approach: Approach,
+    /// Trees searched and the per-kernel-call reference count.
+    pub n_trees: usize,
+    pub leaf_n: usize,
+    /// Query points executed, their dimension, and the batch's `k`.
+    pub m: usize,
+    pub d: usize,
+    pub k: usize,
+    /// The lane's model batch target `m*`.
+    pub target_m: usize,
+    pub predicted_s: f64,
+    pub measured_s: f64,
+    /// The prediction's named terms (seconds).
+    pub terms: &'a [(&'static str, f64)],
+    /// The kernel's per-phase time.
+    pub phases: &'a PhaseSet,
+    /// Query points still admitted beyond this batch at flush time.
+    pub backlog: usize,
+}
+
+/// Cumulative kernel nanoseconds per phase, in [`Phase::ALL`] order.
+/// Zero-sized and inert without the `obs` feature.
+#[derive(Default)]
+struct PhaseNs {
+    #[cfg(feature = "obs")]
+    ns: [AtomicU64; PHASE_COUNT],
+}
+
+impl PhaseNs {
+    #[inline]
+    fn add(&self, phases: &PhaseSet) {
+        #[cfg(feature = "obs")]
+        for (ns, p) in self.ns.iter().zip(Phase::ALL) {
+            ns.fetch_add((phases.seconds(p) * 1e9) as u64, Ordering::Relaxed);
+        }
+        let _ = phases;
+    }
+}
+
+/// Per-shard counters — the only home of the flush, batch, query, panic
+/// and roofline counts. Each shard thread bumps only its own entry, so
+/// the cache line never bounces between cores; the report sums them into
 /// the server-wide totals and also keys the roofline rows by shard
 /// (`"s0/f64"`) so a single hot shard is visible in the merged report.
 #[derive(Default)]
@@ -37,15 +121,47 @@ pub struct ShardStat {
     pub batches: AtomicU64,
     /// Query points this shard answered.
     pub queries: AtomicU64,
-    /// Batches that panicked in this shard's kernel.
-    pub worker_panics: AtomicU64,
-    /// Workspace rebuilds after a panic (the shard keeps serving).
+    /// Flush decisions by reason (indexed by `FlushReason as usize`),
+    /// counting flushes whose every job had already timed out.
+    flushes: [AtomicU64; 3],
+    /// Executed batches per size bucket ([`BATCH_BUCKETS`]).
+    hist: [AtomicU64; BATCH_BUCKETS.len()],
+    cost: Mutex<CostSums>,
+    /// Batches that panicked in this shard's kernel. Each panic discards
+    /// and rebuilds the workspace, so this one count is reported as both
+    /// `worker_panics` and `worker_respawns`.
     pub worker_respawns: AtomicU64,
     /// Connections the acceptor round-robined onto this shard (counter,
     /// not a gauge: total adopted over the run).
     pub conns: AtomicU64,
     /// Per-batch roofline classification, keyed by shard in the report.
     pub roofline: RooflineRecorder,
+    phase_ns: PhaseNs,
+}
+
+impl ShardStat {
+    /// Count one flush decision — the only call a flush makes. `batch`
+    /// is what ran, `None` when every held job had already timed out and
+    /// no kernel ran (then only the reason counts).
+    pub(crate) fn record_flush(&self, reason: FlushReason, batch: Option<&Batch<'_>>) {
+        self.flushes[reason as usize].fetch_add(1, Ordering::Relaxed);
+        let Some(b) = batch else {
+            return;
+        };
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.queries.fetch_add(b.m as u64, Ordering::Relaxed);
+        self.hist[batch_bucket(b.m)].fetch_add(1, Ordering::Relaxed);
+        {
+            let mut cost = self.cost.lock().expect("cost lock poisoned");
+            cost.predicted_s += b.predicted_s;
+            cost.measured_s += b.measured_s;
+            for &(name, s) in b.terms {
+                cost.add_term(name, s);
+            }
+        }
+        self.roofline.record_batch(b, reason);
+        self.phase_ns.add(b.phases);
+    }
 }
 
 /// Counters shared by the acceptor, connection handlers and lane workers.
@@ -60,10 +176,9 @@ pub struct Metrics {
     pub degraded: AtomicU64,
     /// Overload episodes: transitions into the degraded state.
     pub overload_events: AtomicU64,
-    flush_model: AtomicU64,
-    flush_deadline: AtomicU64,
-    flush_drain: AtomicU64,
-    hist: [AtomicU64; BATCH_BUCKETS.len()],
+    /// Query frames received (before admission), and their points.
+    arrivals: AtomicU64,
+    arrival_points: AtomicU64,
     /// End-to-end request latency (frame received → reply written),
     /// log-bucketed, one histogram per lane × terminal status. Lock-free
     /// on the record path; rows with zero samples are skipped in reports.
@@ -75,8 +190,12 @@ pub struct Metrics {
     #[cfg(feature = "obs")]
     exemplars: [[Exemplars; Status::ALL.len()]; LANES.len()],
     in_flight: AtomicU64,
-    queue_high_water: AtomicU64,
-    cost: Mutex<CostSums>,
+    /// In-flight high-water since the time-series last closed a second
+    /// (admission's CAS-max); without `obs` nothing closes it, so it is
+    /// the lifetime high-water.
+    depth_window: AtomicU64,
+    /// High-water over every closed window.
+    depth_closed: AtomicU64,
     /// One entry per shard (a running server has at least one).
     pub shards: Vec<ShardStat>,
 }
@@ -95,41 +214,29 @@ impl Metrics {
         }
     }
 
+    /// A query frame of `m` points arrived (counted before admission).
+    pub fn count_arrival(&self, m: usize) {
+        self.arrivals.fetch_add(1, Ordering::Relaxed);
+        self.arrival_points.fetch_add(m as u64, Ordering::Relaxed);
+    }
+
     /// Admit `m` queries against the bound, all-or-nothing: either the
     /// whole request fits under `cap` in-flight queries and the counter
     /// advances, or nothing is admitted (→ `Busy`). CAS keeps this exact
     /// under concurrent connection handlers.
     pub fn admit(&self, m: usize, cap: usize) -> bool {
         let m = m as u64;
-        let mut cur = self.in_flight.load(Ordering::Relaxed);
-        loop {
-            if cur + m > cap as u64 {
-                return false;
+        let fits = |cur: u64| (cur + m <= cap as u64).then_some(cur + m);
+        match self
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, fits)
+        {
+            Ok(cur) => {
+                self.depth_window.fetch_max(cur + m, Ordering::Relaxed);
+                true
             }
-            match self.in_flight.compare_exchange_weak(
-                cur,
-                cur + m,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
+            Err(_) => false,
         }
-        let depth = cur + m;
-        let mut high = self.queue_high_water.load(Ordering::Relaxed);
-        while depth > high {
-            match self.queue_high_water.compare_exchange_weak(
-                high,
-                depth,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => high = actual,
-            }
-        }
-        true
     }
 
     /// Release `m` previously admitted queries (reply sent or enqueue
@@ -143,40 +250,6 @@ impl Metrics {
         self.in_flight.load(Ordering::Relaxed)
     }
 
-    /// Record one flush decision; `batch_m` is the query count that
-    /// actually ran (0 when every held request had already timed out, in
-    /// which case no kernel ran and only the flush reason is counted).
-    /// The batch and its queries count in the executing shard's
-    /// [`ShardStat`].
-    pub fn record_flush(
-        &self,
-        reason: FlushReason,
-        batch_m: usize,
-        predicted_s: f64,
-        measured_s: f64,
-        terms: &[(&'static str, f64)],
-    ) {
-        match reason {
-            FlushReason::Model => &self.flush_model,
-            FlushReason::Deadline => &self.flush_deadline,
-            FlushReason::Drain => &self.flush_drain,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        if batch_m == 0 {
-            return;
-        }
-        self.hist[batch_bucket(batch_m)].fetch_add(1, Ordering::Relaxed);
-        let mut cost = self.cost.lock().unwrap();
-        cost.predicted_s += predicted_s;
-        cost.measured_s += measured_s;
-        for &(name, s) in terms {
-            match cost.terms.iter_mut().find(|(n, _)| n == name) {
-                Some((_, sum)) => *sum += s,
-                None => cost.terms.push((name.to_string(), s)),
-            }
-        }
-    }
-
     /// Record one finished request's round-trip latency under its lane
     /// and terminal status. `trace_id` feeds the bucket's exemplar: the
     /// slowest request per bucket keeps its id visible in the exposition.
@@ -188,69 +261,81 @@ impl Metrics {
         let _ = trace_id;
     }
 
-    /// Snapshot as a report. `batch_targets` are the per-lane `m*`
-    /// constants and `overloaded` the degradation flag (both live with
-    /// the server, not the counters).
+    /// Snapshot as a report: the server-wide counts are the shards' sums.
+    /// `batch_targets` are the per-lane `m*` constants and `overloaded`
+    /// the degradation flag (both live with the server, not the
+    /// counters).
     pub fn report(&self, batch_targets: Vec<(String, usize)>, overloaded: bool) -> ServeReport {
-        let cost = self.cost.lock().unwrap();
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut flushes = [0u64; 3];
+        let mut batch_hist = vec![0u64; BATCH_BUCKETS.len()];
+        let mut cost = CostSums::default();
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for (i, s) in self.shards.iter().enumerate() {
+            for (sum, f) in flushes.iter_mut().zip(&s.flushes) {
+                *sum += load(f);
+            }
+            for (sum, h) in batch_hist.iter_mut().zip(&s.hist) {
+                *sum += load(h);
+            }
+            let c = s.cost.lock().expect("cost lock poisoned");
+            cost.predicted_s += c.predicted_s;
+            cost.measured_s += c.measured_s;
+            for (name, secs) in &c.terms {
+                cost.add_term(name, *secs);
+            }
+            let respawns = load(&s.worker_respawns);
+            shards.push(ShardRow {
+                shard: i,
+                batches: load(&s.batches),
+                queries: load(&s.queries),
+                worker_panics: respawns,
+                worker_respawns: respawns,
+                conns: load(&s.conns),
+            });
+        }
         // the server-wide per-lane rows (shard sums) first, then
         // per-shard rows keyed "s<idx>/<lane>" (skipping shards that ran
         // nothing)
         let mut roofline = RooflineRecorder::sum_rows(self.shards.iter().map(|s| &s.roofline));
         for (i, s) in self.shards.iter().enumerate() {
-            roofline.extend(
-                s.roofline
-                    .rows_keyed(&format!("s{i}"))
-                    .into_iter()
-                    .filter(|r| r.total() > 0),
-            );
+            for mut r in RooflineRecorder::sum_rows([&s.roofline]) {
+                if r.total() > 0 {
+                    r.lane = format!("s{i}/{}", r.lane);
+                    roofline.push(r);
+                }
+            }
         }
-        let shards: Vec<ShardRow> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardRow {
-                shard: i,
-                batches: s.batches.load(Ordering::Relaxed),
-                queries: s.queries.load(Ordering::Relaxed),
-                worker_panics: s.worker_panics.load(Ordering::Relaxed),
-                worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
-                conns: s.conns.load(Ordering::Relaxed),
-            })
-            .collect();
         let total = |f: fn(&ShardRow) -> u64| shards.iter().map(f).sum();
         ServeReport {
             precisions: batch_targets.iter().map(|(p, _)| p.clone()).collect(),
-            requests: self.requests.load(Ordering::Relaxed),
+            requests: load(&self.requests),
             queries: total(|s| s.queries),
-            busy: self.busy.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            busy: load(&self.busy),
+            timeouts: load(&self.timeouts),
+            errors: load(&self.errors),
             batches: total(|s| s.batches),
             worker_panics: total(|s| s.worker_panics),
             worker_respawns: total(|s| s.worker_respawns),
-            degraded_queries: self.degraded.load(Ordering::Relaxed),
-            overload_events: self.overload_events.load(Ordering::Relaxed),
+            degraded_queries: load(&self.degraded),
+            overload_events: load(&self.overload_events),
             flushes: FlushCounts {
-                model: self.flush_model.load(Ordering::Relaxed),
-                deadline: self.flush_deadline.load(Ordering::Relaxed),
-                drain: self.flush_drain.load(Ordering::Relaxed),
+                model: flushes[FlushReason::Model as usize],
+                deadline: flushes[FlushReason::Deadline as usize],
+                drain: flushes[FlushReason::Drain as usize],
             },
             roofline,
             shards,
-            batch_hist: self
-                .hist
-                .iter()
-                .map(|h| h.load(Ordering::Relaxed))
-                .collect(),
-            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
+            batch_hist,
+            // lifetime: the closed windows' high-water and the open one's
+            queue_high_water: load(&self.depth_closed).max(load(&self.depth_window)),
+            in_flight: self.in_flight(),
             overloaded,
             latency: self.latency_rows(),
             batch_targets,
             predicted_s: cost.predicted_s,
             measured_s: cost.measured_s,
-            predicted_terms: cost.terms.clone(),
+            predicted_terms: cost.terms,
         }
     }
 
@@ -275,11 +360,280 @@ impl Metrics {
         }
         rows
     }
+
+    /// The time-series' view of the counters at second `t_s`: cumulative
+    /// counts (all phases, in [`Phase::ALL`] order) and the depth gauges.
+    #[cfg(feature = "obs")]
+    fn snapshot(&self, t_s: u64) -> LoadSample {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut s = LoadSample {
+            t_s,
+            arrivals: load(&self.arrivals),
+            points: load(&self.arrival_points),
+            queue_depth_max: load(&self.depth_window),
+            in_flight: self.in_flight(),
+            ..LoadSample::default()
+        };
+        let mut phase_ns = [0u64; PHASE_COUNT];
+        for sh in &self.shards {
+            s.batches += load(&sh.batches);
+            s.batch_points += load(&sh.queries);
+            s.flush_model += load(&sh.flushes[FlushReason::Model as usize]);
+            s.flush_deadline += load(&sh.flushes[FlushReason::Deadline as usize]);
+            s.flush_drain += load(&sh.flushes[FlushReason::Drain as usize]);
+            for (sum, ns) in phase_ns.iter_mut().zip(&sh.phase_ns.ns) {
+                *sum += load(ns);
+            }
+        }
+        s.phase_ns = Phase::ALL
+            .iter()
+            .zip(phase_ns)
+            .map(|(p, ns)| (p.name().to_string(), ns))
+            .collect();
+        s
+    }
+
+    /// Start a new depth window at the current in-flight count, returning
+    /// the closed window's high-water (folded into the lifetime one first,
+    /// so a concurrent report never sees the lifetime high-water dip).
+    #[cfg(feature = "obs")]
+    fn roll_depth_window(&self) -> u64 {
+        let fold = |w| self.depth_closed.fetch_max(w, Ordering::Relaxed);
+        fold(self.depth_window.load(Ordering::Relaxed));
+        let w = self.depth_window.swap(self.in_flight(), Ordering::Relaxed);
+        fold(w);
+        w
+    }
+}
+
+/// The time-series row between two snapshots: `now`'s counts less
+/// `base`'s, in `base`'s second, with `now`'s gauges.
+#[cfg(feature = "obs")]
+fn row(base: &LoadSample, now: &LoadSample) -> LoadSample {
+    LoadSample {
+        t_s: base.t_s,
+        arrivals: now.arrivals - base.arrivals,
+        points: now.points - base.points,
+        batches: now.batches - base.batches,
+        batch_points: now.batch_points - base.batch_points,
+        flush_model: now.flush_model - base.flush_model,
+        flush_deadline: now.flush_deadline - base.flush_deadline,
+        flush_drain: now.flush_drain - base.flush_drain,
+        queue_depth_max: now.queue_depth_max,
+        in_flight: now.in_flight,
+        phase_ns: now
+            .phase_ns
+            .iter()
+            .zip(&base.phase_ns)
+            .filter(|((_, n), (_, b))| n > b)
+            .map(|((name, n), (_, b))| (name.clone(), n - b))
+            .collect(),
+    }
+}
+
+/// The per-second load time-series behind the `TimeSeries` wire op. It
+/// counts nothing itself: it keeps [`Metrics`] snapshots taken at each
+/// second's close — the overload monitor is the one clock — and a row
+/// is the difference of two, so the rows sum to the report. Zero-sized
+/// and inert without the `obs` feature.
+pub(crate) struct LoadSeries {
+    /// Snapshots at the last [`WINDOW_S`] closes, oldest first, after the
+    /// all-zero one the server started from; the last opened the live
+    /// second.
+    #[cfg(feature = "obs")]
+    snaps: Mutex<VecDeque<LoadSample>>,
+}
+
+impl LoadSeries {
+    pub(crate) fn new() -> Self {
+        LoadSeries {
+            #[cfg(feature = "obs")]
+            snaps: Mutex::new(VecDeque::from([LoadSample::default()])),
+        }
+    }
+
+    /// A monitor tick in second `now_s` since the server epoch. The first
+    /// tick of a new second closes the open row, so a second no tick ran
+    /// in has no row of its own: its events land in the row before.
+    pub(crate) fn tick(&self, now_s: u64, metrics: &Metrics) {
+        #[cfg(feature = "obs")]
+        {
+            let mut snaps = self.snaps.lock().expect("series lock poisoned");
+            if snaps.back().is_some_and(|open| now_s > open.t_s) {
+                let mut now = metrics.snapshot(now_s);
+                now.queue_depth_max = metrics.roll_depth_window();
+                if snaps.len() > WINDOW_S as usize {
+                    snaps.pop_front();
+                }
+                snaps.push_back(now);
+            }
+        }
+        let _ = (now_s, metrics);
+    }
+
+    /// The `TimeSeries` wire-op body: the closed rows oldest first, then
+    /// the live row (the open second's growth so far). With `obs`
+    /// compiled out this is a valid `enabled: false` document with no
+    /// samples.
+    pub(crate) fn to_json(&self, metrics: &Metrics) -> Value {
+        #[cfg(feature = "obs")]
+        {
+            let snaps = self.snaps.lock().expect("series lock poisoned");
+            let live = metrics.snapshot(0);
+            let ends = snaps.iter().skip(1).chain([&live]);
+            let rows: Vec<LoadSample> = snaps.iter().zip(ends).map(|(a, b)| row(a, b)).collect();
+            timeseries_json(true, WINDOW_S, &rows)
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = metrics;
+            timeseries_json(false, 0, &[])
+        }
+    }
+}
+
+/// Per-batch roofline classifier and (lane × bound-class) aggregator;
+/// see the module docs. Zero-sized and inert without the `obs` feature.
+#[derive(Default)]
+pub struct RooflineRecorder {
+    #[cfg(feature = "obs")]
+    counts: [[AtomicU64; 4]; 2],
+    /// Summed per-batch headroom, fixed-point ×1000, per lane.
+    #[cfg(feature = "obs")]
+    headroom_milli: [AtomicU64; 2],
+}
+
+impl RooflineRecorder {
+    /// Classify one executed batch and bump its lane's counters.
+    #[inline]
+    pub(crate) fn record_batch(&self, b: &Batch<'_>, reason: FlushReason) {
+        #[cfg(feature = "obs")]
+        {
+            let verdict = Self::classify_batch(b, reason);
+            self.counts[b.lane][verdict.class.index()].fetch_add(1, Ordering::Relaxed);
+            // clamp: a pathological measurement must not wrap the gauge
+            let milli = (verdict.headroom.clamp(0.0, 1e9) * 1e3) as u64;
+            self.headroom_milli[b.lane].fetch_add(milli, Ordering::Relaxed);
+        }
+        let _ = (b, reason);
+    }
+
+    #[cfg(feature = "obs")]
+    fn classify_batch(b: &Batch<'_>, reason: FlushReason) -> gsknn_obs::RooflineVerdict {
+        use gsknn_core::ProblemSize;
+        let trees = b.n_trees.max(1) as f64;
+        let p = ProblemSize {
+            m: b.m,
+            n: b.leaf_n.max(1),
+            d: b.d,
+            k: b.k,
+        };
+        let flops = b.model.flops(&p) * trees;
+        // slow-memory elements the model charges the batch, per tree: the
+        // references (gather-pack nd + 2n, or one read of prepacked panels
+        // nd + n), pack Q (dm + 2m), neighbor writeback (mk)
+        let r_norms = match b.approach {
+            Approach::Var1Prepacked => b.leaf_n,
+            _ => 2 * b.leaf_n,
+        };
+        let elems = (b.leaf_n * b.d + r_norms + b.d * b.m + 2 * b.m + b.m * b.k) as f64 * trees;
+        let mach = b.model.machine();
+        let mut mem_s = 0.0;
+        let mut compute_s = 0.0;
+        for phase in Phase::ALL {
+            let seconds = b.phases.seconds(phase);
+            match phase {
+                Phase::PackR | Phase::PackQ | Phase::Writeback => mem_s += seconds,
+                Phase::RankDc | Phase::Select => compute_s += seconds,
+            }
+        }
+        classify(&RooflineInputs {
+            flops,
+            bytes: elems * b.elem_bytes as f64,
+            measured_s: b.measured_s,
+            mem_phase_s: mem_s,
+            compute_phase_s: compute_s,
+            peak_flops_per_s: mach.tau_f,
+            peak_bytes_per_s: b.elem_bytes as f64 / mach.tau_b,
+            batch_m: b.m,
+            target_m: b.target_m,
+            deadline_flush: !matches!(reason, FlushReason::Model),
+            backlog: b.backlog,
+        })
+    }
+
+    /// Per-lane aggregate rows summed over `recorders` (the server-wide
+    /// rows from the per-shard recorders). Exact: counts and the
+    /// fixed-point headroom are summed as integers before the one
+    /// conversion. Empty when `obs` is compiled out, one row per lane
+    /// otherwise.
+    fn sum_rows<'a>(recorders: impl IntoIterator<Item = &'a RooflineRecorder>) -> Vec<RooflineRow> {
+        #[cfg(feature = "obs")]
+        {
+            let mut counts = [[0u64; 4]; 2];
+            let mut milli = [0u64; 2];
+            for r in recorders {
+                for li in 0..LANES.len() {
+                    for (ci, c) in counts[li].iter_mut().enumerate() {
+                        *c += r.counts[li][ci].load(Ordering::Relaxed);
+                    }
+                    milli[li] += r.headroom_milli[li].load(Ordering::Relaxed);
+                }
+            }
+            LANES
+                .iter()
+                .enumerate()
+                .map(|(li, lane)| RooflineRow {
+                    lane: lane.to_string(),
+                    counts: counts[li],
+                    headroom_sum: milli[li] as f64 / 1e3,
+                })
+                .collect()
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = recorders;
+            Vec::new()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsknn_core::MachineParams;
+
+    fn test_model() -> Model {
+        Model::new(MachineParams::ivy_bridge_1core())
+    }
+
+    /// A `Var1` batch of `m` points on `lane`, priced as 4 trees of 512
+    /// references at d = 16, k = 8 against a target of 64.
+    fn batch<'a>(
+        model: &'a Model,
+        phases: &'a PhaseSet,
+        lane: usize,
+        m: usize,
+        measured_s: f64,
+    ) -> Batch<'a> {
+        Batch {
+            lane,
+            elem_bytes: [8, 4][lane],
+            model,
+            approach: Approach::Var1,
+            n_trees: 4,
+            leaf_n: 512,
+            m,
+            d: 16,
+            k: 8,
+            target_m: 64,
+            predicted_s: 0.0,
+            measured_s,
+            terms: &[],
+            phases,
+            backlog: 0,
+        }
+    }
 
     #[test]
     fn admission_is_all_or_nothing() {
@@ -290,7 +644,7 @@ mod tests {
         assert_eq!(m.in_flight(), 8);
         m.release(6);
         assert!(m.admit(3, 8));
-        assert_eq!(m.queue_high_water.load(Ordering::Relaxed), 8);
+        assert_eq!(m.report(vec![], false).queue_high_water, 8);
     }
 
     #[test]
@@ -302,28 +656,30 @@ mod tests {
 
     #[test]
     fn flushes_aggregate_into_the_report() {
-        let m = Metrics::new();
+        let (model, phases) = (test_model(), PhaseSet::default());
+        let m = Metrics::for_shards(2);
         m.requests.fetch_add(3, Ordering::Relaxed);
-        m.record_flush(
-            FlushReason::Model,
-            32,
-            0.002,
-            0.003,
-            &[("pack Rc + R2c", 0.001)],
-        );
-        m.record_flush(
-            FlushReason::Deadline,
-            1,
-            0.001,
-            0.001,
-            &[("pack Rc + R2c", 0.0005)],
-        );
-        m.record_flush(FlushReason::Drain, 0, 0.0, 0.0, &[]); // all timed out
+        let terms = [("pack Rc + R2c", 0.001)];
+        let b = Batch {
+            predicted_s: 0.002,
+            terms: &terms,
+            ..batch(&model, &phases, 0, 32, 0.003)
+        };
+        m.shards[0].record_flush(FlushReason::Model, Some(&b));
+        let terms = [("pack Rc + R2c", 0.0005)];
+        let b = Batch {
+            predicted_s: 0.001,
+            terms: &terms,
+            ..batch(&model, &phases, 0, 1, 0.001)
+        };
+        m.shards[1].record_flush(FlushReason::Deadline, Some(&b));
+        m.shards[1].record_flush(FlushReason::Drain, None); // all timed out
 
         let r = m.report(vec![("f64".into(), 32)], false);
         assert_eq!(r.flushes.model, 1);
         assert_eq!(r.flushes.deadline, 1);
         assert_eq!(r.flushes.drain, 1);
+        assert_eq!((r.batches, r.queries), (2, 33));
         assert_eq!(r.batch_hist[batch_bucket(32)], 1);
         assert_eq!(r.batch_hist[batch_bucket(1)], 1);
         assert!((r.predicted_s - 0.003).abs() < 1e-15);
@@ -332,27 +688,122 @@ mod tests {
         assert!((r.predicted_terms[0].1 - 0.0015).abs() < 1e-15);
     }
 
+    /// The time-series sums to the report: rows are differences of the
+    /// counters the report sums, driven here through synthetic seconds
+    /// (0, 1, 3 — the tick skips second 2 — then live in 3).
+    #[cfg(feature = "obs")]
+    #[test]
+    fn timeseries_rows_sum_to_the_report() {
+        let (model, phases) = (test_model(), PhaseSet::default());
+        let m = Metrics::for_shards(2);
+        let series = LoadSeries::new();
+        let rows = |series: &LoadSeries| {
+            let (enabled, window, rows) =
+                gsknn_obs::parse_timeseries(&series.to_json(&m)).expect("document parses");
+            assert!(enabled);
+            assert_eq!(window, WINDOW_S);
+            rows
+        };
+        let arrive = |shard: usize, pts: usize, reason: FlushReason| {
+            m.count_arrival(pts);
+            assert!(m.admit(pts, 1024));
+            m.shards[shard].record_flush(reason, Some(&batch(&model, &phases, 0, pts, 1e-4)));
+            m.release(pts);
+        };
+
+        // second 0: two arrivals, depth peaks at 5
+        arrive(0, 5, FlushReason::Model);
+        arrive(1, 2, FlushReason::Deadline);
+        series.tick(0, &m); // same second: closes nothing
+        let live = rows(&series);
+        assert_eq!(live.len(), 1, "the live row shows before its second closes");
+        assert_eq!((live[0].t_s, live[0].arrivals, live[0].points), (0, 2, 7));
+        assert_eq!(live[0].queue_depth_max, 5);
+
+        // second 1: one arrival of 3 held in flight, a drain with no kernel
+        series.tick(1, &m);
+        m.count_arrival(3);
+        assert!(m.admit(3, 1024));
+        m.shards[1].record_flush(FlushReason::Drain, None);
+        // second 2 sees no tick; second 3 closes 1 and its events
+        series.tick(3, &m);
+        m.release(3);
+        arrive(0, 4, FlushReason::Model);
+
+        let rows = rows(&series);
+        let t: Vec<u64> = rows.iter().map(|s| s.t_s).collect();
+        assert_eq!(t, [0, 1, 3], "closed 0 and 1, live 3; no row for 2");
+        let depth: Vec<u64> = rows.iter().map(|s| s.queue_depth_max).collect();
+        assert_eq!(depth, [5, 3, 4], "each row's own window high-water");
+        assert_eq!(rows[1].in_flight, 3, "gauge as read at the close");
+
+        let r = m.report(vec![("f64".into(), 64)], false);
+        let sum = |f: fn(&LoadSample) -> u64| rows.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.arrivals), 4);
+        assert_eq!(sum(|s| s.points), 14);
+        assert_eq!(sum(|s| s.batches), r.batches);
+        assert_eq!(sum(|s| s.batch_points), r.queries);
+        assert_eq!(sum(|s| s.flush_model), r.flushes.model);
+        assert_eq!(sum(|s| s.flush_deadline), r.flushes.deadline);
+        assert_eq!(sum(|s| s.flush_drain), r.flushes.drain);
+        assert_eq!((r.batches, r.flushes.drain), (3, 1));
+        assert_eq!(r.queue_high_water, *depth.iter().max().unwrap());
+    }
+
+    /// Without `obs` the time-series ring, the per-phase counters and
+    /// the roofline recorder are zero-sized and inert.
+    #[cfg(not(feature = "obs"))]
+    #[test]
+    fn series_and_phase_counters_are_zero_sized_without_obs() {
+        assert_eq!(std::mem::size_of::<LoadSeries>(), 0);
+        assert_eq!(std::mem::size_of::<PhaseNs>(), 0);
+        assert_eq!(std::mem::size_of::<RooflineRecorder>(), 0);
+        let m = Metrics::new();
+        let series = LoadSeries::new();
+        m.count_arrival(3);
+        series.tick(5, &m);
+        assert_eq!(series.to_json(&m), timeseries_json(false, 0, &[]));
+        assert!(RooflineRecorder::sum_rows([&RooflineRecorder::default()]).is_empty());
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn roofline_recorder_classifies_undersized_deadline_flushes() {
+        let (model, phases) = (test_model(), PhaseSet::default());
+        let r = RooflineRecorder::default();
+        // tiny batch, huge target, deadline flush, slow measurement
+        r.record_batch(&batch(&model, &phases, 0, 2, 0.005), FlushReason::Deadline);
+        // full batch at target, model flush
+        r.record_batch(&batch(&model, &phases, 1, 64, 0.005), FlushReason::Model);
+        let rows = RooflineRecorder::sum_rows([&r]);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].lane, "f64");
+        assert_eq!(
+            rows[0].counts[gsknn_obs::BoundClass::Coalesce.index()],
+            1,
+            "undersized deadline flush is coalesce-bound"
+        );
+        assert_eq!(rows[0].total(), 1);
+        assert!(rows[0].headroom_mean().unwrap() > 1.0);
+        assert_eq!(
+            rows[1].counts[gsknn_obs::BoundClass::Coalesce.index()],
+            0,
+            "full model-triggered batch is not coalesce-bound"
+        );
+        assert_eq!(rows[1].total(), 1);
+        // per-class counts sum to total batches recorded
+        let all: u64 = rows.iter().map(|r| r.total()).sum();
+        assert_eq!(all, 2);
+    }
+
     #[cfg(feature = "obs")]
     #[test]
     fn roofline_rows_reach_the_report() {
-        use gsknn_core::{MachineParams, Model};
+        let (model, phases) = (test_model(), PhaseSet::default());
         let m = Metrics::new();
-        let model = Model::new(MachineParams::ivy_bridge_1core());
-        m.shards[0].roofline.record_batch(
-            0,
-            8,
-            &model,
-            gsknn_core::model::Approach::Var1,
-            4,
-            512,
-            2,
-            16,
-            8,
-            64,
+        m.shards[0].record_flush(
             FlushReason::Deadline,
-            0.004,
-            &gsknn_core::obs::PhaseSet::default(),
-            0,
+            Some(&batch(&model, &phases, 0, 2, 0.004)),
         );
         let r = m.report(vec![("f64".into(), 64)], false);
         // 2 server-wide lane rows + the shard's non-empty f64 row
@@ -434,34 +885,20 @@ mod tests {
         let m = Metrics::for_shards(2);
         m.shards[0].batches.fetch_add(3, Ordering::Relaxed);
         m.shards[0].queries.fetch_add(9, Ordering::Relaxed);
-        m.shards[1].worker_panics.fetch_add(1, Ordering::Relaxed);
         m.shards[1].worker_respawns.fetch_add(1, Ordering::Relaxed);
         m.shards[1].conns.fetch_add(4, Ordering::Relaxed);
         m.shards[1].batches.fetch_add(2, Ordering::Relaxed);
         m.shards[1].queries.fetch_add(5, Ordering::Relaxed);
-        m.shards[0].worker_panics.fetch_add(2, Ordering::Relaxed);
+        m.shards[0].worker_respawns.fetch_add(2, Ordering::Relaxed);
         #[cfg(feature = "obs")]
         {
-            use gsknn_core::{MachineParams, Model};
-            let model = Model::new(MachineParams::ivy_bridge_1core());
+            let (model, phases) = (test_model(), PhaseSet::default());
             for (shard, lane, m_batch, measured) in
                 [(0, 0, 2, 0.004), (1, 0, 64, 0.0001), (1, 1, 3, 0.02)]
             {
                 m.shards[shard].roofline.record_batch(
-                    lane,
-                    8,
-                    &model,
-                    gsknn_core::model::Approach::Var1,
-                    4,
-                    512,
-                    m_batch,
-                    16,
-                    8,
-                    64,
+                    &batch(&model, &phases, lane, m_batch, measured),
                     FlushReason::Deadline,
-                    measured,
-                    &gsknn_core::obs::PhaseSet::default(),
-                    0,
                 );
             }
         }
@@ -477,12 +914,13 @@ mod tests {
                 r.shards[1].worker_respawns,
                 r.shards[1].conns
             ),
-            (1, 1, 4)
+            (1, 1, 4),
+            "one counter reported as both panics and respawns"
         );
         // the server-wide counters are the shard sums
         assert_eq!(
             (r.batches, r.queries, r.worker_panics, r.worker_respawns),
-            (5, 14, 3, 1)
+            (5, 14, 3, 3)
         );
         // and so are the server-wide per-lane roofline rows, in lane order
         #[cfg(feature = "obs")]
@@ -510,25 +948,11 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn shard_roofline_rows_are_keyed_and_sparse() {
-        use gsknn_core::{MachineParams, Model};
+        let (model, phases) = (test_model(), PhaseSet::default());
         let m = Metrics::for_shards(2);
-        let model = Model::new(MachineParams::ivy_bridge_1core());
-        m.shards[1].roofline.record_batch(
-            1,
-            4,
-            &model,
-            gsknn_core::model::Approach::Var1,
-            4,
-            512,
-            2,
-            16,
-            8,
-            64,
-            FlushReason::Deadline,
-            0.004,
-            &gsknn_core::obs::PhaseSet::default(),
-            0,
-        );
+        m.shards[1]
+            .roofline
+            .record_batch(&batch(&model, &phases, 1, 2, 0.004), FlushReason::Deadline);
         let r = m.report(vec![("f64".into(), 64)], false);
         // 2 global lane rows + only shard 1's non-empty f32 row
         assert_eq!(r.roofline.len(), 3);

@@ -34,12 +34,14 @@
 //!   panicking batch answers every live job `InternalError` (nothing was
 //!   computed, so clients may retry), the shard's workspace — which the
 //!   panic may have left half-packed — is discarded and rebuilt, and the
-//!   shard keeps serving its other connections. Counted as
-//!   `worker_panics` / `worker_respawns`, globally and per shard.
+//!   shard keeps serving its other connections. One per-shard count,
+//!   reported as both `worker_panics` and `worker_respawns`, globally
+//!   and per shard.
 //! * **Degradation** — a monitor thread feeds queue pressure into an
-//!   [`OverloadDetector`]; while overloaded, lanes shrink their batch
-//!   target ([`crate::degrade::degraded_target`]) to bound latency, and
-//!   with
+//!   [`OverloadDetector`] (it is also the clock that closes each second
+//!   of the `TimeSeries` rows, derived from [`Metrics`]); while
+//!   overloaded, lanes shrink their batch target
+//!   ([`crate::degrade::degraded_target`]) to bound latency, and with
 //!   [`ServerConfig::degrade_precision`] f64 queries are answered from
 //!   the f32 lane as `OkDegraded` (the v2 table encoding is
 //!   cross-precision, so clients decode transparently).
@@ -49,8 +51,7 @@
 
 use crate::coalesce::batch_target;
 use crate::degrade::{OverloadDetector, Transition};
-use crate::metrics::Metrics;
-use crate::sampler::LoadSampler;
+use crate::metrics::{LoadSeries, Metrics};
 use crate::shard::{shard_main, LaneRefs, ShardCtx};
 use crate::trace::FragmentRing;
 use crossbeam::channel;
@@ -371,9 +372,9 @@ pub(crate) struct Shared {
     /// (starts at 1; 0 means "no id" on the wire).
     pub(crate) next_trace: AtomicU64,
     pub(crate) slow_query_ms: Option<u64>,
-    /// Per-second load time-series for the `TimeSeries` wire op
-    /// (zero-sized without the `obs` feature).
-    pub(crate) sampler: LoadSampler,
+    /// Per-second load time-series for the `TimeSeries` wire op, derived
+    /// from `metrics` (zero-sized without the `obs` feature).
+    pub(crate) series: LoadSeries,
     /// Partition identity for scatter-gather replies (`None` = plain
     /// single-node server).
     pub(crate) partition: Option<PartitionCfg>,
@@ -402,7 +403,7 @@ impl Shared {
             frags: FragmentRing::new(cfg.trace_ring.max(32)),
             next_trace: AtomicU64::new(1),
             slow_query_ms: cfg.slow_query_ms,
-            sampler: LoadSampler::new(),
+            series: LoadSeries::new(),
             partition: cfg.partition,
         }
     }
@@ -527,18 +528,23 @@ impl Server {
                 };
                 s.spawn(move |_| shard_main(ctx));
             }
-            // overload monitor: queue pressure in, degraded flag out
+            // overload monitor: queue pressure in, degraded flag and
+            // closed time-series seconds out
             {
                 let threshold = cfg.overload_threshold;
                 let window = cfg.overload_window;
                 s.spawn(move |_| {
                     let mut detector = OverloadDetector::new(threshold, window);
-                    let period = (window / 8).max(Duration::from_millis(2));
+                    // several ticks a second under any window, so the
+                    // time-series rows stay per-second
+                    let period =
+                        (window / 8).clamp(Duration::from_millis(2), Duration::from_millis(250));
                     while !shared_ref.shutdown.load(Ordering::SeqCst) {
+                        let now = Instant::now();
+                        let now_s = now.duration_since(shared_ref.epoch).as_secs();
+                        shared_ref.series.tick(now_s, &shared_ref.metrics);
                         let depth = shared_ref.metrics.in_flight();
-                        shared_ref.sampler.observe_depth(depth);
-                        let transition =
-                            detector.observe(depth, shared_ref.queue_cap, Instant::now());
+                        let transition = detector.observe(depth, shared_ref.queue_cap, now);
                         match transition {
                             Transition::Enter => {
                                 shared_ref.degraded.store(true, Ordering::SeqCst);

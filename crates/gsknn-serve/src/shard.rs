@@ -45,7 +45,7 @@
 
 use crate::coalesce::{adaptive_should_flush, predict_batch_cost_into, ArrivalRate, FlushReason};
 use crate::degrade::degraded_target;
-use crate::metrics::{ShardStat, LANES};
+use crate::metrics::{Batch, ShardStat, LANES};
 use crate::mux::{poll_fds, raw_fd, PollFd, POLLIN, POLLOUT};
 use crate::server::{ServeIndex, Shared};
 use crate::trace::ReqTrace;
@@ -412,10 +412,7 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     }
     let m_live: usize = pending.jobs.iter().filter(|j| !j.dead).map(|j| j.m).sum();
     if m_live == 0 {
-        shared.metrics.record_flush(reason, 0, 0.0, 0.0, &[]);
-        shared
-            .sampler
-            .record_flush(reason, 0, &gsknn_core::obs::PhaseSet::default());
+        stat.record_flush(reason, None);
         pending.clear();
         return;
     }
@@ -463,7 +460,6 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     let forest_table = match result {
         Ok(t) => t,
         Err(_) => {
-            stat.worker_panics.fetch_add(1, Ordering::Relaxed);
             for job in pending.jobs.iter_mut().filter(|j| !j.dead) {
                 shared.metrics.release(job.m);
                 shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -474,8 +470,8 @@ pub(crate) fn flush_lane<T: FusedScalar>(
                 );
             }
             // The panic may have left the executor's packing workspace
-            // half-written — discard it as poisoned and rebuild. Counted
-            // exactly like a legacy worker respawn.
+            // half-written — discard it as poisoned and rebuild. One count
+            // for the panic and its respawn.
             *exec = Gsknn::new(kernel_cfg.clone());
             *scratch = BatchScratch::new();
             stat.worker_respawns.fetch_add(1, Ordering::Relaxed);
@@ -488,31 +484,28 @@ pub(crate) fn flush_lane<T: FusedScalar>(
     let predicted = predict_batch_cost_into(
         model, approach, n_trees, leaf_n, m_live, dim, k_batch, terms,
     );
-    shared
-        .metrics
-        .record_flush(reason, m_live, predicted, measured, terms);
-    // roofline attribution + time-series feed (no-ops without `obs`);
     // backlog = query points still admitted beyond this batch
     let backlog = shared.metrics.in_flight().saturating_sub(m_live as u64) as usize;
-    stat.roofline.record_batch(
-        lane_idx,
-        T::BYTES,
-        model,
-        approach,
-        n_trees,
-        leaf_n,
-        m_live,
-        dim,
-        k_batch,
-        target,
+    stat.record_flush(
         reason,
-        measured,
-        &phases,
-        backlog,
+        Some(&Batch {
+            lane: lane_idx,
+            elem_bytes: T::BYTES,
+            model,
+            approach,
+            n_trees,
+            leaf_n,
+            m: m_live,
+            d: dim,
+            k: k_batch,
+            target_m: target,
+            predicted_s: predicted,
+            measured_s: measured,
+            terms,
+            phases: &phases,
+            backlog,
+        }),
     );
-    shared.sampler.record_flush(reason, m_live, &phases);
-    stat.batches.fetch_add(1, Ordering::Relaxed);
-    stat.queries.fetch_add(m_live as u64, Ordering::Relaxed);
 
     let full: &NeighborTable<T> = forest_table.as_ref().unwrap_or(table);
     for job in pending.jobs.iter_mut().filter(|j| !j.dead) {
@@ -960,7 +953,7 @@ fn handle_frame(
             reply_frame(outbuf, Status::Ok, 0, body.as_bytes());
         }
         Ok(RawRequest::TimeSeries) => {
-            let body = shared.sampler.to_json().to_string();
+            let body = shared.series.to_json(&shared.metrics).to_string();
             reply_frame(outbuf, Status::Ok, 0, body.as_bytes());
         }
         Ok(RawRequest::TraceFetch(id)) => {
@@ -1009,8 +1002,7 @@ fn handle_query(
     } else {
         shared.next_trace.fetch_add(1, Ordering::Relaxed)
     };
-    shared.sampler.record_arrival(q.m);
-    shared.sampler.observe_depth(shared.metrics.in_flight());
+    shared.metrics.count_arrival(q.m);
     let mut trace = ReqTrace::start(shared.epoch, t_recv);
     trace.set_shape(q.m, q.k);
     trace.add_span("decode", t_recv, t_dec);
