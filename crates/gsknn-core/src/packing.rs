@@ -314,6 +314,36 @@ impl<T: GsknnScalar> PackedRefs<T> {
     pub fn panels(&self) -> &[T] {
         &self.panels
     }
+
+    /// The squared norms of the references, in packed order (`R2c`
+    /// without its padding).
+    pub fn sqnorms(&self) -> &[T] {
+        &self.norms[..self.len()]
+    }
+
+    /// Copy the coordinates of the reference at packed position `j` into
+    /// `out`, read back out of the panels: what a caller that reranks a
+    /// few references needs once the row-major table is gone.
+    ///
+    /// # Panics
+    /// When `j >= len()` or `out.len() != dim()`.
+    pub fn point_into(&self, j: usize, out: &mut [T]) {
+        assert!(j < self.len(), "packed position {j} out of bounds");
+        assert_eq!(out.len(), self.d, "point buffer is not d long");
+        let GemmParams { dc, nc, .. } = self.params;
+        let jc = j / nc * nc;
+        let ncb_pad = (self.len() - jc).min(nc).div_ceil(T::NR) * T::NR;
+        let (strip, lane) = ((j - jc) / T::NR * T::NR, (j - jc) % T::NR);
+        for (b, out) in out.chunks_mut(dc).enumerate() {
+            let (pc, dcb) = (b * dc, out.len());
+            // within a (jc, pc) panel the point's coordinates are NR apart
+            let at = jc * self.d + ncb_pad * pc + strip * dcb + lane;
+            let panel = &self.panels[at..at + (dcb - 1) * T::NR + 1];
+            for (o, &v) in out.iter_mut().zip(panel.iter().step_by(T::NR)) {
+                *o = v;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -444,7 +474,8 @@ mod tests {
     }
 
     /// Every `(jc, pc)` block and `R2c` of `packed` is what `pack_r_panel`
-    /// and `pack_sqnorms` gather from `x` over ids `0..n`, bit for bit.
+    /// and `pack_sqnorms` gather from `x` over ids `0..n`, bit for bit, and
+    /// [`PackedRefs::point_into`] / [`PackedRefs::sqnorms`] read `x` back.
     fn blocks_are_gathered<T: GsknnScalar>(
         x: &dataset::PointSet<T>,
         packed: &PackedRefs<T>,
@@ -456,6 +487,12 @@ mod tests {
         let ids: Vec<usize> = (0..n).collect();
         prop_assert_eq!(packed.ids(), &ids[..]);
         prop_assert_eq!(packed.panels().len(), n.div_ceil(nr) * nr * d);
+        prop_assert_eq!(bits(packed.sqnorms()), bits(x.sqnorms()));
+        let mut read_back = vec![T::NAN; d];
+        for j in 0..n {
+            packed.point_into(j, &mut read_back);
+            prop_assert_eq!(bits(&read_back), bits(x.point(j)), "point {}", j);
+        }
         for jc in (0..n).step_by(nc) {
             let ncb = (n - jc).min(nc);
             let padded = ncb.div_ceil(nr) * nr;

@@ -49,6 +49,7 @@
 //!   corrupt decoded frames, force premature flushes, and panic batch
 //!   execution on demand (`tests/chaos.rs`); off, they compile away.
 
+use crate::certify::F32Scan;
 use crate::coalesce::batch_target;
 use crate::degrade::{OverloadDetector, Transition};
 use crate::metrics::{LoadSeries, Metrics};
@@ -250,10 +251,12 @@ pub(crate) enum IndexRefs {
     /// every batch searches all of it, so each precision's references are
     /// stored already in the kernel's `Rc` panels, under that lane's
     /// blocking — `⌈n/NR⌉·NR·d` elements, the table's own size up to one
-    /// padded strip — and no forest is built.
+    /// padded strip — and no forest is built. `r_max` is the largest
+    /// reference norm, which the f64 lane's certificate bounds with.
     Flat {
         packed64: PackedRefs<f64>,
         packed32: PackedRefs<f32>,
+        r_max: f64,
     },
     /// The table at f64 and its f32 cast, plus one randomized-KD-tree
     /// forest routing both (its split projections are precision-free).
@@ -275,7 +278,12 @@ impl ServeIndex {
             let ids = (0..refs.len()).collect();
             let packed32 = PackedRefs::pack(&refs, ids, GsknnConfig::for_scalar::<f32>().params);
             let packed64 = PackedRefs::from_table(refs, GsknnConfig::for_scalar::<f64>().params);
-            IndexRefs::Flat { packed64, packed32 }
+            let r2_max = packed64.sqnorms().iter().fold(0.0, |a: f64, &b| a.max(b));
+            IndexRefs::Flat {
+                packed64,
+                packed32,
+                r_max: r2_max.sqrt(),
+            }
         } else {
             IndexRefs::Forest {
                 forest: Forest::build(&refs, n_trees, leaf_size, seed),
@@ -293,8 +301,25 @@ impl ServeIndex {
     /// The f64 and the f32 lane's view of the index.
     pub(crate) fn lanes(&self) -> (LaneRefs<'_, f64>, LaneRefs<'_, f32>) {
         match &self.refs {
-            IndexRefs::Flat { packed64, packed32 } => {
-                (LaneRefs::Flat(packed64), LaneRefs::Flat(packed32))
+            IndexRefs::Flat {
+                packed64,
+                packed32,
+                r_max,
+            } => {
+                let scan = F32Scan {
+                    panels: packed32,
+                    r_max: *r_max,
+                };
+                (
+                    LaneRefs::Flat {
+                        packed: packed64,
+                        scan: Some(scan),
+                    },
+                    LaneRefs::Flat {
+                        packed: packed32,
+                        scan: None,
+                    },
+                )
             }
             IndexRefs::Forest {
                 refs64,
