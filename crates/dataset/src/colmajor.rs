@@ -156,6 +156,24 @@ impl<T: GsknnScalar> PointSet<T> {
         start..self.n
     }
 
+    /// Append one point whose squared norm the caller already holds — a
+    /// point copied out of another set, say, whose `X2` entry comes along
+    /// instead of being folded again. `fill` writes the point's `d`
+    /// coordinates. Returns the point's id.
+    ///
+    /// `sqnorm` must be the fold [`PointSet::append`] computes for those
+    /// coordinates, and they must be finite: neither is checked (that
+    /// would fold them again), and a wrong norm gives wrong distances.
+    pub fn push_with_sqnorm(&mut self, sqnorm: T, fill: impl FnOnce(&mut [T])) -> usize {
+        assert!(self.d > 0, "cannot append to a 0-dimensional set");
+        let start = self.data.len();
+        self.data.resize(start + self.d, T::ZERO);
+        fill(&mut self.data[start..]);
+        self.sqnorms.push(sqnorm);
+        self.n += 1;
+        self.n - 1
+    }
+
     /// Drop all points but keep the dimension and the backing storage —
     /// observably identical to `from_vec(d, 0, Vec::new())`, except that
     /// a set cycled through a serving workspace stops allocating once it
@@ -268,6 +286,22 @@ mod tests {
         assert_eq!(ps.point(1), &[3.0, 4.0]);
         assert_eq!(ps.sqnorm(1), 25.0);
         assert_eq!(ps.sqnorm(2), 1.0);
+    }
+
+    #[test]
+    fn push_with_sqnorm_matches_append() {
+        let src = PointSet::from_vec(3, 2, vec![0.1, 0.2, 0.3, 1.5, -2.0, 0.7]);
+        let mut pushed = PointSet::from_vec(3, 0, Vec::new());
+        for j in [1, 0] {
+            let id =
+                pushed.push_with_sqnorm(src.sqnorm(j), |out| out.copy_from_slice(src.point(j)));
+            assert_eq!(id, 1 - j);
+        }
+        let mut appended = PointSet::from_vec(3, 0, Vec::new());
+        appended.append(src.point(1));
+        appended.append(src.point(0));
+        assert_eq!(pushed.as_slice(), appended.as_slice());
+        assert_eq!(pushed.sqnorms(), appended.sqnorms());
     }
 
     #[test]
