@@ -80,9 +80,9 @@ impl KernelStats {
     }
 }
 
-/// The scratch of whoever walks a query chunk of the 4th loop: the
-/// workspace's own at `p = 1`, one per rayon worker above (§2.5: "each
-/// processor will create a private Qc").
+/// The scratch of whoever walks a query chunk of the 4th loop: one per
+/// worker, kept in the workspace across calls (§2.5: "each processor will
+/// create a private Qc and preserve it in its private L2").
 #[derive(Default, Debug)]
 pub struct ChunkScratch<T: GsknnScalar = f64> {
     /// Packed query panel `Qc` (`⌈mcb/MR⌉·MR × dcb`, Z-shape).
@@ -102,8 +102,9 @@ pub struct ChunkScratch<T: GsknnScalar = f64> {
 /// parameterized by the element type the kernel runs in.
 #[derive(Default, Debug)]
 pub struct GsknnWorkspace<T: GsknnScalar = f64> {
-    /// Query-side scratch of the 4th loop when it runs in place (`p = 1`).
-    pub chunk: ChunkScratch<T>,
+    /// Query-side scratch of the 4th loop, one per worker that has walked
+    /// it (the `p = 1` walk uses the first); grown to `p` on demand.
+    pub chunks: Vec<ChunkScratch<T>>,
     /// Packed reference panel `Rc` (`⌈ncb/NR⌉·NR × dcb`, Z-shape) of a
     /// gathering call; a call against [`crate::PackedRefs`] borrows its
     /// panels and never sizes this.
@@ -134,9 +135,10 @@ mod tests {
     #[test]
     fn buffers_grow_independently() {
         let mut ws: GsknnWorkspace = GsknnWorkspace::new();
-        ws.chunk.q_pack.resize(128);
+        ws.chunks.push(ChunkScratch::default());
+        ws.chunks[0].q_pack.resize(128);
         ws.cc.resize(1024);
-        assert_eq!(ws.chunk.q_pack.len(), 128);
+        assert_eq!(ws.chunks[0].q_pack.len(), 128);
         assert_eq!(ws.cc.len(), 1024);
         assert_eq!(ws.r_pack.len(), 0);
     }

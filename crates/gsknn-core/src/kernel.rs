@@ -15,7 +15,7 @@ use gsknn_scalar::GsknnScalar;
 use knn_select::{Neighbor, NeighborTable};
 
 /// Reusable per-batch scratch for [`Gsknn::update_cross_reusing`] and
-/// [`Gsknn::update_parallel`]: the selection heaps (one per query row)
+/// [`Gsknn::update_prepacked`]: the selection heaps (one per query row)
 /// and the writeback row that `update_cross` would otherwise allocate per
 /// call. A serving shard keeps one of these per lane; after warm-up on the
 /// largest batch shape the whole select-and-writeback path is
@@ -59,6 +59,24 @@ impl<T: FusedScalar> BatchScratch<T> {
     }
 }
 
+/// Smallest `m·n·d` of a call whose 4th loop is split over
+/// [`GsknnConfig::p`] workers; a smaller call walks it serially on the
+/// caller's thread, whatever `p`. Below it the split does not pay: the
+/// `Rc` gather stays serial, each worker streams all of `Rc` for fewer
+/// rows, and a worker can start late. Measured with `run_nest`, Var#1,
+/// f64, sq-ℓ2, references gathered from a 16384-point table, n = 4096,
+/// p = 2 against p = 1 on a 2-vCPU VM, median time ratio of 40
+/// interleaved pairs (pairs where p = 2 was faster):
+///
+/// * d = 64, k = 16: 2²² 1.12 (0/40), 2²³ 1.02 (15/40), 2²⁴ 0.86
+///   (36/40), 2²⁵ 0.77 (40/40);
+/// * d = 16, k = 512: 2²⁰ 0.95 (25/40), 2²¹ 0.68 (37/40), 2²² 0.58;
+/// * d = 16, k = 16: 2²² 0.83 (38/40), 2²³ 0.70 (38/40).
+///
+/// 2²⁴ is the smallest size ahead on every shape (EXPERIMENTS,
+/// "Data-parallel by default").
+pub const SPLIT_FLOOR: usize = 1 << 24;
+
 /// Kernel configuration.
 #[derive(Clone, Debug)]
 pub struct GsknnConfig {
@@ -69,6 +87,14 @@ pub struct GsknnConfig {
     /// selection Var#1 measures faster through `k = 2048` —
     /// `bench_out/fig5.txt` — so nothing switches at run time.)
     pub variant: Variant,
+    /// Workers of the data-parallel 4th loop (§2.5's `p`; 0 counts as 1):
+    /// every call with `m·n·d ≥` [`SPLIT_FLOOR`] cuts its queries into
+    /// chunks walked by `p` workers, each with a private `Qc`, sharing
+    /// the packed `Rc`. The rows and counters are the same for every `p`.
+    /// The constructors set the host's available parallelism; a caller
+    /// that already runs one kernel per core (a serving shard, a forest
+    /// leaf loop, the LPT scheduler's workers) sets 1.
+    pub p: usize,
 }
 
 impl Default for GsknnConfig {
@@ -76,6 +102,7 @@ impl Default for GsknnConfig {
         GsknnConfig {
             params: GemmParams::ivy_bridge(),
             variant: Variant::Var1,
+            p: rayon::current_num_threads(),
         }
     }
 }
@@ -232,7 +259,7 @@ impl<T: FusedScalar> Gsknn<T> {
             params: self.cfg.params,
             variant: self.cfg.variant,
         };
-        self.update_nest(&args, table, scratch, 1)
+        self.update_nest(&args, table, scratch)
     }
 
     /// [`Gsknn::update_cross_reusing`] against references packed once
@@ -254,7 +281,7 @@ impl<T: FusedScalar> Gsknn<T> {
         scratch: &mut BatchScratch<T>,
     ) {
         let args = DriverArgs::prepacked(xq, q_idx, refs, kind, self.cfg.variant);
-        self.update_nest(&args, table, scratch, 1)
+        self.update_nest(&args, table, scratch)
     }
 
     /// Observability counters from the most recent `run`/`update` call
@@ -281,59 +308,17 @@ impl<T: FusedScalar> Gsknn<T> {
         std::mem::take(&mut self.phase_accum)
     }
 
-    /// Data-parallel run (§2.5's 4th-loop scheme on the rayon pool,
-    /// `p` query chunks in flight): identical results to [`Gsknn::run`].
-    pub fn run_parallel(
-        &mut self,
-        x: &PointSet<T>,
-        q_idx: &[usize],
-        r_idx: &[usize],
-        k: usize,
-        kind: DistanceKind,
-        p: usize,
-    ) -> NeighborTable<T> {
-        let mut table = NeighborTable::new(q_idx.len(), k);
-        self.update_parallel(
-            x,
-            q_idx,
-            r_idx,
-            kind,
-            &mut table,
-            p,
-            &mut BatchScratch::new(),
-        );
-        table
-    }
-
-    /// Data-parallel update; see [`Gsknn::run_parallel`] / [`Gsknn::update`].
-    /// Heaps and the writeback row come from `scratch`, as in
-    /// [`Gsknn::update_cross_reusing`]. Worker counters and phase times are
-    /// merged, so [`Gsknn::last_stats`] and [`Gsknn::last_phases`] report
-    /// run totals (phase times sum worker CPU time and can exceed wall
-    /// time).
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_parallel(
-        &mut self,
-        x: &PointSet<T>,
-        q_idx: &[usize],
-        r_idx: &[usize],
-        kind: DistanceKind,
-        table: &mut NeighborTable<T>,
-        p: usize,
-        scratch: &mut BatchScratch<T>,
-    ) {
-        let args = DriverArgs::same(x, q_idx, r_idx, kind, self.cfg.params, self.cfg.variant);
-        self.update_nest(&args, table, scratch, p)
-    }
-
-    /// Every update: seed the heaps from `table`, run the nest with `p`
-    /// query chunks in flight, write the rows back.
+    /// Every update: seed the heaps from `table`, run the nest — on the
+    /// configured `p` workers when the call reaches [`SPLIT_FLOOR`] —
+    /// and write the rows back. With `p > 1` the workers' counters and
+    /// phase times are merged, so [`Gsknn::last_stats`] and
+    /// [`Gsknn::last_phases`] report call totals (phase times then sum
+    /// worker CPU time and can exceed wall time).
     fn update_nest(
         &mut self,
         args: &DriverArgs<'_, T>,
         table: &mut NeighborTable<T>,
         scratch: &mut BatchScratch<T>,
-        p: usize,
     ) {
         assert_eq!(table.len(), args.q_idx.len(), "one table row per query");
         assert_eq!(
@@ -359,6 +344,12 @@ impl<T: FusedScalar> Gsknn<T> {
         let heaps = scratch.seed(table, args.variant == Variant::Var6);
         self.ws.stats = KernelStats::default();
         self.ws.phases.reset();
+        let work = args
+            .q_idx
+            .len()
+            .saturating_mul(args.r_ids().len())
+            .saturating_mul(args.xq.dim());
+        let p = if work >= SPLIT_FLOOR { self.cfg.p } else { 1 };
         run_nest(args, heaps, &mut self.ws, p);
         self.ws
             .phases
@@ -526,27 +517,37 @@ mod tests {
 
     #[test]
     fn parallel_run_aggregates_worker_stats() {
-        let x = uniform(400, 9, 47);
-        let q: Vec<usize> = (0..120).collect();
-        let r: Vec<usize> = (0..400).collect();
-        let mut exec = Gsknn::new(GsknnConfig::default());
-        let rows = exec.run(&x, &q, &r, 7, DistanceKind::SqL2);
-        let serial = exec.last_stats();
-        let par_rows = exec.run_parallel(&x, &q, &r, 7, DistanceKind::SqL2, 4);
-        let par = exec.last_stats();
+        // m·n·d reaches SPLIT_FLOOR: the call splits
+        let (m, d) = (120, 9);
+        let n = SPLIT_FLOOR.div_ceil(m * d);
+        let x = uniform(n, d, 47);
+        let q: Vec<usize> = (0..m).collect();
+        let r: Vec<usize> = (0..n).collect();
+        let with_p = |p| {
+            Gsknn::new(GsknnConfig {
+                p,
+                ..GsknnConfig::default()
+            })
+        };
+        let mut serial = with_p(1);
+        let rows = serial.run(&x, &q, &r, 7, DistanceKind::SqL2);
+        let mut par = with_p(4);
+        let par_rows = par.run(&x, &q, &r, 7, DistanceKind::SqL2);
         for i in 0..q.len() {
             assert_eq!(rows.row(i), par_rows.row(i), "row {i}");
         }
-        // Each query sees the same candidate stream regardless of how the
-        // 4th loop is chunked, so the per-query counters must agree (tile
-        // counts may differ: chunk fringes pad to MR independently).
-        assert!(par.tiles > 0, "worker stats were not merged");
-        assert_eq!(par.candidates_offered, serial.candidates_offered);
-        assert_eq!(par.candidates_kept, serial.candidates_kept);
-        assert_eq!(
-            par.rows_filtered + par.rows_scanned,
-            serial.rows_filtered + serial.rows_scanned
-        );
+        // one private scratch per worker, kept for the next call
+        assert_eq!(serial.ws.chunks.len(), 1);
+        assert_eq!(par.ws.chunks.len(), 4);
+        // each query sees the same candidate stream however the 4th loop
+        // is chunked, and chunks are whole MR tiles, so the merged worker
+        // counters are the serial ones
+        assert!(par.last_stats().tiles > 0, "worker stats were not merged");
+        assert_eq!(par.last_stats(), serial.last_stats());
+        // below the floor the same configuration walks serially
+        let mut small = with_p(4);
+        let _ = small.run(&x, &q[..8], &r, 7, DistanceKind::SqL2);
+        assert_eq!(small.ws.chunks.len(), 1);
     }
 
     #[test]

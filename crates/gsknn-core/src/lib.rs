@@ -49,7 +49,7 @@ mod sweep_tests;
 pub mod variants;
 
 pub use buffers::{GsknnWorkspace, KernelStats};
-pub use kernel::{BatchScratch, Gsknn, GsknnConfig};
+pub use kernel::{BatchScratch, Gsknn, GsknnConfig, SPLIT_FLOOR};
 pub use microkernel::FusedScalar;
 pub use model::{MachineParams, Model, ProblemSize};
 pub use obs::{Phase, PhaseSet};

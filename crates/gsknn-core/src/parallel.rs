@@ -8,12 +8,12 @@
 //!
 //! This module owns only how the 4th loop is walked ([`QueryWalk`]); the
 //! nest around it is [`crate::variants::run_nest`], one driver for every
-//! `p`. At `p = 1` the chunks run in order on the caller's workspace, no
-//! thread involved; above, the per-worker `Qc`/`Qc2`/pruning-bound/
-//! reservoir scratch is created once per worker via `map_init` and reused
-//! across every chunk that worker processes — the per-chunk closure itself
-//! never allocates (the buffers only `resize`, a no-op after the first
-//! chunk).
+//! `p`. At `p = 1` the chunks run in order on the caller's thread, no
+//! thread spawned; above, they are cut into `p` contiguous runs, one per
+//! worker. Each worker's `Qc`/`Qc2`/pruning-bound/reservoir scratch lives
+//! in the workspace ([`crate::GsknnWorkspace::chunks`]) and is reused
+//! across chunks, blocks and calls — the per-chunk closure itself never
+//! allocates (the buffers only `resize`, a no-op once grown).
 //!
 //! Load balance: when `m` is not a multiple of `mc × p` the fixed `mc`
 //! leaves stragglers, so `mc` is re-derived per problem
@@ -53,17 +53,16 @@ pub(crate) struct Chunk<'a, T: GsknnScalar> {
     pub cc_rows: Option<&'a mut [T]>,
 }
 
-/// How the 4th loop is walked: `p` workers over `mc`-row query chunks,
-/// counters and phase times folding into `stats` / `phases`.
+/// How the 4th loop is walked: one worker per `scratch` (one: in order on
+/// the caller's thread) over `mc`-row query chunks, counters and phase
+/// times folding into `stats` / `phases`.
 pub(crate) struct QueryWalk<'w, T: FusedScalar> {
-    /// Query chunks in flight (`1`: in place on `scratch`, no thread).
-    pub p: usize,
     /// Rows per chunk (a multiple of `MR`; [`dynamic_mc`]).
     pub mc: usize,
     /// Row stride of `Cc`.
     pub ldcc: usize,
-    /// The query-side scratch the `p = 1` walk uses.
-    pub scratch: &'w mut ChunkScratch<T>,
+    /// One query-side scratch per worker.
+    pub scratch: &'w mut [ChunkScratch<T>],
     /// Where the walk's counters accumulate.
     pub stats: &'w mut KernelStats,
     /// Where the walk's phase times accumulate (with `p > 1` they sum
@@ -73,38 +72,49 @@ pub(crate) struct QueryWalk<'w, T: FusedScalar> {
 
 impl<T: FusedScalar> QueryWalk<'_, T> {
     /// Split `heaps` — and `cc`, `ldcc` elements per row — into chunks of
-    /// `mc` queries and run `body` on each. Workers own disjoint query
-    /// ranges, so every `p` leaves the same heaps.
+    /// `mc` queries and run `body` on each. With `p` scratches, worker `w`
+    /// takes the `w`-th of `p` contiguous runs of chunks, on `scratch[w]`.
+    /// Workers own disjoint query ranges, so every `p` leaves the same
+    /// heaps.
     pub fn for_each_chunk<F>(&mut self, heaps: &mut [SelHeap<T>], cc: Option<&mut [T]>, body: F)
     where
         F: Fn(Chunk<'_, T>, &mut ChunkScratch<T>, &mut KernelStats, &mut PhaseSet) + Sync,
     {
-        let mc = self.mc;
+        let (mc, p) = (self.mc, self.scratch.len());
+        let per_worker = heaps.len().div_ceil(mc).div_ceil(p);
         let mut cc_chunks = cc.map(|cc| cc.chunks_mut(mc * self.ldcc));
-        let chunks = heaps.chunks_mut(mc).enumerate().map(|(ci, heaps)| Chunk {
+        let mut chunks = heaps.chunks_mut(mc).enumerate().map(|(ci, heaps)| Chunk {
             ic: ci * mc,
             heaps,
             cc_rows: cc_chunks
                 .as_mut()
                 .map(|c| c.next().expect("one Cc chunk per query chunk")),
         });
-        if self.p == 1 {
+        if p == 1 {
             for chunk in chunks {
-                body(chunk, self.scratch, self.stats, self.phases);
+                body(chunk, &mut self.scratch[0], self.stats, self.phases);
             }
             return;
         }
-        let per_chunk: Vec<(KernelStats, PhaseSet)> = chunks
-            .collect::<Vec<_>>()
+        // fewer chunks than workers leave the last runs empty: drop them
+        // (a single run then executes inline on the caller's thread)
+        let runs: Vec<Vec<_>> = (0..p)
+            .map(|_| chunks.by_ref().take(per_worker).collect::<Vec<_>>())
+            .take_while(|run| !run.is_empty())
+            .collect();
+        let per_run: Vec<(KernelStats, PhaseSet)> = runs
             .into_par_iter()
-            .map_init(ChunkScratch::default, |scratch, chunk| {
+            .zip(self.scratch.par_iter_mut())
+            .map(|(run, scratch)| {
                 let mut stats = KernelStats::default();
                 let mut phases = PhaseSet::new();
-                body(chunk, scratch, &mut stats, &mut phases);
+                for chunk in run {
+                    body(chunk, scratch, &mut stats, &mut phases);
+                }
                 (stats, phases)
             })
             .collect();
-        for (stats, phases) in &per_chunk {
+        for (stats, phases) in &per_run {
             self.stats.merge(stats);
             self.phases.merge(phases);
         }

@@ -242,7 +242,11 @@ pub fn run_task_parallel_traced<T: FusedScalar>(
         let handles: Vec<_> = schedule
             .iter()
             .map(|bucket| {
-                let cfg = cfg.clone();
+                // each task worker is one core: its kernel splits nothing
+                let cfg = GsknnConfig {
+                    p: 1,
+                    ..cfg.clone()
+                };
                 scope.spawn(move |_| {
                     let mut exec = Gsknn::new(cfg);
                     bucket

@@ -356,25 +356,20 @@ fn sweep_sizes_the_bound_cache_to_one_block() {
     let k = 4;
     let mut heaps: Vec<SelHeap> = (0..300).map(|_| SelHeap::new(k, false)).collect();
     let mut ws = GsknnWorkspace::new();
-    assert_eq!(
-        ws.chunk.thr.capacity(),
-        0,
-        "nothing allocated before a sweep"
-    );
-    assert_eq!(ws.chunk.reservoir.footprint(), 0);
+    assert!(ws.chunks.is_empty(), "nothing allocated before a sweep");
     run_nest(&args, &mut heaps, &mut ws, 1);
-    assert!(!ws.chunk.thr.is_empty() && ws.chunk.thr.len() <= params.mc);
+    assert!(!ws.chunks[0].thr.is_empty() && ws.chunks[0].thr.len() <= params.mc);
     assert_ne!(ws.stats, KernelStats::default());
     // the reservoir follows the block (mc rows), not the 300 queries: k
     // appended pairs and a pad line per row, the 2k scratch row, and a
     // length word and a flag per row
-    assert!(ws.chunk.reservoir.rows() <= params.mc);
+    assert!(ws.chunks[0].reservoir.rows() <= params.mc);
     let pair = std::mem::size_of::<knn_select::Neighbor>();
     let bound = params.mc * ((k + 64 / pair) * pair + 5) + 2 * k * pair;
     assert!(
-        (1..=bound).contains(&ws.chunk.reservoir.footprint()),
+        (1..=bound).contains(&ws.chunks[0].reservoir.footprint()),
         "{} bytes, bound {bound}",
-        ws.chunk.reservoir.footprint()
+        ws.chunks[0].reservoir.footprint()
     );
 }
 

@@ -565,9 +565,10 @@ fn ic_block_body<T: FusedScalar>(
 
 /// Run the six-loop nest, updating `heaps[i]` (one per query,
 /// `heaps.len() == q_idx.len()`) with every reference candidate. The 4th
-/// loop is cut into [`dynamic_mc`] query chunks walked by `p` workers —
-/// `p = 1` in order on `ws.chunk`, with no thread; the rows are the same
-/// bits for every `p`. Counters and phase times accumulate into
+/// loop is cut into [`dynamic_mc`] query chunks walked by `p` workers,
+/// each on its own `ws.chunks` scratch — `p = 1` in order on the caller's
+/// thread, with no thread spawned; the rows are the same bits for every
+/// `p`. Counters and phase times accumulate into
 /// `ws.stats` / `ws.phases`.
 pub fn run_nest<T: FusedScalar>(
     args: &DriverArgs<'_, T>,
@@ -600,7 +601,7 @@ pub fn run_nest<T: FusedScalar>(
         nc.min(n.div_ceil(nr) * nr)
     };
     let GsknnWorkspace {
-        chunk,
+        chunks,
         r_pack,
         r2_pack,
         cc,
@@ -611,11 +612,13 @@ pub fn run_nest<T: FusedScalar>(
         cc.resize(m.div_ceil(mr) * mr * ldcc);
     }
     let p = p.max(1);
+    if chunks.len() < p {
+        chunks.resize_with(p, ChunkScratch::default);
+    }
     let mut walk = QueryWalk {
-        p,
         mc: dynamic_mc(m, p, mc),
         ldcc,
-        scratch: chunk,
+        scratch: &mut chunks[..p],
         stats,
         phases,
     };

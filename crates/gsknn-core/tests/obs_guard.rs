@@ -53,7 +53,11 @@ fn kernel_records_phases_with_obs() {
     let x = dataset::uniform(300, 12, 3);
     let q: Vec<usize> = (0..64).collect();
     let r: Vec<usize> = (0..300).collect();
-    let mut exec = Gsknn::new(GsknnConfig::default());
+    // one worker: the phases of one thread against its wall time
+    let mut exec = Gsknn::new(GsknnConfig {
+        p: 1,
+        ..GsknnConfig::default()
+    });
     let t0 = Instant::now();
     let _ = exec.run(&x, &q, &r, 8, DistanceKind::SqL2);
     let wall = t0.elapsed().as_secs_f64();

@@ -216,7 +216,11 @@ pub(crate) struct Certify<T: FusedScalar> {
 impl<T: FusedScalar> Certify<T> {
     pub(crate) fn new(d: usize) -> Self {
         Certify {
-            exec32: Gsknn::new(GsknnConfig::for_scalar::<f32>()),
+            // the lane's shard is its core: one worker
+            exec32: Gsknn::new(GsknnConfig {
+                p: 1,
+                ..GsknnConfig::for_scalar::<f32>()
+            }),
             scratch32: BatchScratch::new(),
             queries32: PointSet::from_vec(d, 0, Vec::new()),
             table32: NeighborTable::new(0, 1),

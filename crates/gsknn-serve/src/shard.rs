@@ -281,7 +281,11 @@ impl<'a, T: FusedScalar> Lane<'a, T> {
         target: usize,
         adaptive: bool,
     ) -> Self {
-        let kernel_cfg = GsknnConfig::for_scalar::<T>();
+        // a shard is its core: one worker, whatever the batch
+        let kernel_cfg = GsknnConfig {
+            p: 1,
+            ..GsknnConfig::for_scalar::<T>()
+        };
         let d = refs.dim();
         Lane {
             lane,
@@ -1798,24 +1802,41 @@ mod tests {
     #[cfg(not(feature = "obs"))]
     #[test]
     fn steady_state_query_cycle_performs_no_heap_allocation() {
+        steady_cycles_allocate_nothing(256, 8, 2);
+    }
+
+    /// The same cycle with a batch whose f32 scan reaches the kernel's
+    /// split floor: a lane that let its kernels split would spawn workers
+    /// there — and allocate. A shard is its core; its kernels run on one.
+    #[cfg(not(feature = "obs"))]
+    #[test]
+    fn a_batch_above_the_split_floor_stays_on_the_shard_and_allocates_nothing() {
+        let (n, d, m) = (8192, 64, 32);
+        assert!(m * n * d >= gsknn_core::SPLIT_FLOOR);
+        steady_cycles_allocate_nothing(n, d, m);
+    }
+
+    /// 150 cycles of an `m`-row, k = 4 batch on the f64 lane of a flat
+    /// index over `n` references in `d` dimensions; the last 100 must not
+    /// allocate.
+    #[cfg(not(feature = "obs"))]
+    fn steady_cycles_allocate_nothing(n: usize, d: usize, m: usize) {
         let _guard = lock_flushes();
         let mut state = 17u64;
-        let n = 256;
-        let d = 8;
         let refs = gen_refs(n, d, &mut state);
         let index = flat_index(&refs);
         let shared = test_shared(d, n);
         let stat = ShardStat::default();
         let mut lane = Lane::new(0, index.lanes().0, DistanceKind::SqL2, 4, false);
 
-        let coords: Vec<f64> = (0..2 * d).map(|_| coord(&mut state)).collect();
+        let coords: Vec<f64> = (0..m * d).map(|_| coord(&mut state)).collect();
         let bytes = coord_bytes(&coords);
         let mut out: Vec<u8> = Vec::new();
         let mut cycle = |out: &mut Vec<u8>| {
-            let q = raw_query(&bytes, 2, d, 4);
-            assert!(shared.metrics.admit(2, 1024));
+            let q = raw_query(&bytes, m, d, 4);
+            assert!(shared.metrics.admit(m, 1024));
             let now = Instant::now();
-            lane.enqueue(test_job(2, 4, now, now + Duration::from_secs(1)), &q, 0.0);
+            lane.enqueue(test_job(m, 4, now, now + Duration::from_secs(1)), &q, 0.0);
             let mut sink = |job: &mut PendingJob, reply: Reply<'_, f64>| {
                 out.clear();
                 let mark = begin_response_frame(out, reply.status(), job.trace_id);
@@ -1841,7 +1862,7 @@ mod tests {
         );
         let tried = stat.certified_rows.load(Ordering::Relaxed)
             + stat.certify_fallback_rows.load(Ordering::Relaxed);
-        assert_eq!(tried, 150 * 2, "every cycle ran the certified path");
+        assert_eq!(tried, 150 * m as u64, "every cycle ran the certified path");
     }
 
     /// Satellite regression: the 1000th query through a recycled shard

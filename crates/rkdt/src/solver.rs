@@ -45,10 +45,12 @@ pub struct GsknnLeaf<T: FusedScalar = f64> {
 }
 
 impl<T: FusedScalar> GsknnLeaf<T> {
-    /// Wrap a configured GSKNN executor.
+    /// Wrap a configured GSKNN executor, on one worker (`cfg.p` is set to
+    /// 1): the solvers run one leaf kernel per core — the rayon leaf loop,
+    /// LPT's workers, lsh's bucket loop — so a leaf call splits nothing.
     pub fn new(cfg: GsknnConfig, kind: DistanceKind) -> Self {
         GsknnLeaf {
-            exec: Gsknn::new(cfg),
+            exec: Gsknn::new(GsknnConfig { p: 1, ..cfg }),
             kind,
         }
     }

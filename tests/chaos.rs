@@ -22,7 +22,7 @@
 //!    batches and still answers each one bit-identically to brute force.
 #![cfg(feature = "faults")]
 
-use gsknn::core::{BatchScratch, PackedRefs};
+use gsknn::core::{BatchScratch, PackedRefs, SPLIT_FLOOR};
 use gsknn::router::{Router, RouterConfig};
 use gsknn::serve::{Client, Outcome, PartitionCfg, RetryPolicy, ServeIndex, Server, ServerConfig};
 use gsknn::{DistanceKind, Gsknn, GsknnConfig, Neighbor, NeighborTable, PointSet};
@@ -140,8 +140,12 @@ fn direct_kernel_fault_has_recognizable_panic() {
     // Every kernel point fires from every driver, also when the batch is
     // all full tiles (m = 64: the interior sweep, no per-tile fringe). On
     // the prepacked source `PackR` fires while the panels are packed, the
-    // other points in the call against them.
+    // other points in the call against them. Every driver runs at p = 2;
+    // only the data-parallel one's call is wide enough to split.
     let batch: Vec<usize> = (0..64).collect();
+    let wide_n = SPLIT_FLOOR.div_ceil(batch.len() * D);
+    let wide = gsknn::data::uniform(wide_n, D, 5);
+    let wide_refs: Vec<usize> = (0..wide_n).collect();
     for point in [
         FaultPoint::PackR,
         FaultPoint::PackQ,
@@ -151,11 +155,14 @@ fn direct_kernel_fault_has_recognizable_panic() {
         for driver in ["serial", "data-parallel", "prepacked"] {
             gsknn_faults::configure(FaultPlan::new(11).with(point, Mode::Nth(1)));
             let got = std::panic::catch_unwind(|| {
-                let mut exec = Gsknn::new(GsknnConfig::default());
+                let mut exec = Gsknn::new(GsknnConfig {
+                    p: 2,
+                    ..GsknnConfig::default()
+                });
                 match driver {
                     "serial" => drop(exec.run(&x, &batch, &refs, 4, DistanceKind::SqL2)),
                     "data-parallel" => {
-                        drop(exec.run_parallel(&x, &batch, &refs, 4, DistanceKind::SqL2, 2))
+                        drop(exec.run(&wide, &batch, &wide_refs, 4, DistanceKind::SqL2))
                     }
                     _ => {
                         let packed = PackedRefs::pack(&x, refs.clone(), exec.config().params);
