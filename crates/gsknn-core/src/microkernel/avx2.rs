@@ -6,7 +6,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use super::{sweep_tiles, PassMode, Sweep, SweepTile, MR, NR};
+use super::{sweep_tiles, PassMode, StripMasks, Sweep, SweepTile, MR, NR};
 use dataset::DistanceKind;
 use std::arch::x86_64::*;
 
@@ -185,8 +185,9 @@ macro_rules! sweep_kernel {
 
         impl SweepTile<f64> for $tile {
             #[inline(always)]
-            unsafe fn tile(
+            unsafe fn block(
                 &self,
+                strips: usize,
                 dcb: usize,
                 ap: *const f64,
                 bp: *const f64,
@@ -195,7 +196,8 @@ macro_rules! sweep_kernel {
                 prior: Option<(*const f64, usize)>,
                 thr: *const f64,
                 out: *mut f64,
-            ) -> u64 {
+            ) -> StripMasks {
+                debug_assert_eq!(strips, 1);
                 let mut acc = [_mm256_setzero_pd(); MR];
                 rank_update!(dcb, ap, bp, acc, |$a, $b, $acc_i| $step);
                 if let Some((cc, ldcc)) = prior {
@@ -215,7 +217,7 @@ macro_rules! sweep_kernel {
                         _mm256_storeu_pd(out.add(i * NR), acc[i]);
                     }
                 }
-                mask
+                [mask, 0, 0, 0]
             }
         }
 

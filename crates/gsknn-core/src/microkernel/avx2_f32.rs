@@ -9,7 +9,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use super::{sweep_tiles, PassMode, Sweep, SweepTile};
+use super::{sweep_tiles, PassMode, StripMasks, Sweep, SweepTile};
 use dataset::DistanceKind;
 use gsknn_scalar::GsknnScalar;
 use std::arch::x86_64::*;
@@ -196,8 +196,9 @@ macro_rules! sweep_kernel {
 
         impl SweepTile<f32> for $tile {
             #[inline(always)]
-            unsafe fn tile(
+            unsafe fn block(
                 &self,
+                strips: usize,
                 dcb: usize,
                 ap: *const f32,
                 bp: *const f32,
@@ -206,7 +207,8 @@ macro_rules! sweep_kernel {
                 prior: Option<(*const f32, usize)>,
                 thr: *const f32,
                 out: *mut f32,
-            ) -> u64 {
+            ) -> StripMasks {
+                debug_assert_eq!(strips, 1);
                 let mut acc = [_mm256_setzero_ps(); MR];
                 rank_update!(dcb, ap, bp, acc, |$a, $b, $acc_i| $step);
                 if let Some((cc, ldcc)) = prior {
@@ -226,7 +228,7 @@ macro_rules! sweep_kernel {
                         _mm256_storeu_ps(out.add(i * NR), acc[i]);
                     }
                 }
-                mask
+                [mask, 0, 0, 0]
             }
         }
 

@@ -33,9 +33,13 @@
 //! (bit `i·NR + j`), and only a tile with a set bit is stored and popped
 //! — in ascending (row, lane) order, the order [`tile_pass`] + the
 //! per-tile selection push in. One control flow ([`sweep_tiles`]) serves
-//! every ISA; the per-ISA part is the [`SweepTile`] step. A distance has
-//! the same bits whichever entry produced it: one accumulator per output
-//! element, `p` ascending, then the same epilogue instructions.
+//! every ISA; the per-ISA part is the [`SweepTile`] step, one tile wide
+//! (AVX2, the provided sweep) or, for f64 on AVX-512F, a register block
+//! of four adjacent strips with the queries on the zmm axis (`avx512`);
+//! the f64 sweep dispatches AVX-512F → AVX2 → provided, from cpuid read
+//! once. A distance has the same bits whichever entry produced it: one
+//! accumulator per output element, `p` ascending, then the same epilogue
+//! instructions.
 //!
 //! A popped survivor is not pushed into its query's heap but **appended**
 //! to that query's row of the block's [`Reservoir`] — one store, no
@@ -56,6 +60,7 @@
 
 mod avx2;
 mod avx2_f32;
+mod avx512;
 
 use crate::buffers::KernelStats;
 use crate::obs::{PhaseSet, SweepProbe};
@@ -167,22 +172,48 @@ pub struct Sweep<'a, T: GsknnScalar> {
     pub(crate) sample_every: usize,
 }
 
-/// The per-ISA step of [`sweep_tiles`]: one full tile's final pass and
-/// root filter.
+/// Most `NR` strips one [`SweepTile`] step covers.
+pub(crate) const BLOCK_STRIPS: usize = 4;
+
+/// Per strip of one register block, its lane mask (bit `i·NR + j`).
+pub(crate) type StripMasks = [u64; BLOCK_STRIPS];
+
+// a sampled strip opens a register block (see `sweep_tiles`)
+const _: () = assert!(crate::obs::STRIP_SAMPLE.is_multiple_of(BLOCK_STRIPS));
+
+/// The block's distances, aligned for full-width stores.
+#[repr(C, align(64))]
+struct BlockOut<T>([T; MAX_TILE * BLOCK_STRIPS]);
+
+/// The per-ISA step of [`sweep_tiles`]: one register block's final pass
+/// and root filter — `MR` queries against `STRIPS` adjacent `NR` strips
+/// of `Rc` (one tile when `STRIPS` is 1).
 pub(crate) trait SweepTile<T: GsknnScalar> {
-    /// Finalize the tile (as [`PassMode::Last`] does) and return its lane
-    /// mask: bit `i·NR + j` set iff `dist(i, j) <= thr[i]`. `out[b]` holds
-    /// the distance of every set bit `b`; a tile with an empty mask may
-    /// leave `out` untouched.
+    /// Strips in a full register block (at most [`BLOCK_STRIPS`]).
+    const STRIPS: usize = 1;
+
+    /// Where [`SweepTile::block`] leaves distance `(i, j)` of strip `s`.
+    #[inline(always)]
+    fn slot(s: usize, i: usize, j: usize) -> usize {
+        (s * T::MR + i) * T::NR + j
+    }
+
+    /// Finalize the block's `strips` tiles (as [`PassMode::Last`] does)
+    /// and return a lane mask per strip: bit `i·NR + j` of `masks[s]` set
+    /// iff `dist(i, j) <= thr[i]`. `out[slot(s, i, j)]` holds the distance
+    /// of every set bit; a strip with an empty mask may leave its slots
+    /// untouched.
     ///
     /// # Safety
-    /// Readable: `ap` for `dcb·MR` elements, `bp` for `dcb·NR`, `q2` and
-    /// `thr` for `MR`, `r2` for `NR`, `prior` for `MR` rows of `NR` at its
-    /// stride; `out` writable for `MR·NR`. The CPU has the ISA the
+    /// `1 <= strips <= STRIPS`. Readable: `ap` for `dcb·MR` elements, `bp`
+    /// for `strips` micro-panels of `dcb·NR`, `q2` and `thr` for `MR`, `r2`
+    /// for `strips·NR`, `prior` for `MR` rows of `strips·NR` at its stride;
+    /// `out` writable for `strips·MR·NR`. The CPU has the ISA the
     /// implementor is written in.
     #[allow(clippy::too_many_arguments)] // the tile's operands, as tile_pass
-    unsafe fn tile(
+    unsafe fn block(
         &self,
+        strips: usize,
         dcb: usize,
         ap: *const T,
         bp: *const T,
@@ -191,12 +222,15 @@ pub(crate) trait SweepTile<T: GsknnScalar> {
         prior: Option<(*const T, usize)>,
         thr: *const T,
         out: *mut T,
-    ) -> u64;
+    ) -> StripMasks;
 }
 
 /// The 3rd/2nd-loop sweep of the macro-kernel, written once; `#[inline(always)]`
-/// so that a `#[target_feature]` caller gets the tile step inlined into
-/// the loop.
+/// so that a `#[target_feature]` caller gets the block step inlined into
+/// the loop. The 3rd loop walks register blocks of `K::STRIPS` strips
+/// (the last one may be narrower); a block's strips are popped in
+/// ascending order, so every row still meets its candidates in ascending
+/// column order, each strip filtered against the bounds it starts with.
 ///
 /// # Safety
 /// The CPU has the ISA `K` is written in.
@@ -210,6 +244,7 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
     if m_tiles == 0 || n_tiles == 0 {
         return;
     }
+    debug_assert!((1..=BLOCK_STRIPS).contains(&K::STRIPS) && mr * nr <= MAX_TILE);
     // Every raw access below stays inside these extents.
     let (m_rows, n_cols) = (m_tiles * mr, n_tiles * nr);
     assert!(sw.q_pack.len() >= m_rows * dcb && sw.r_pack.len() >= n_cols * dcb);
@@ -223,39 +258,52 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
     let filters = T::row_filter_available();
     // small k, seeded rows: every survivor of this block goes to a heap
     let heaps_only = sw.reservoir.is_idle();
-    let mut out = [T::ZERO; MAX_TILE];
+    let mut out = BlockOut([T::ZERO; MAX_TILE * BLOCK_STRIPS]);
+    let out = &mut out.0;
     let (mut scanned, mut offered, mut kept, mut compactions) = (0u64, 0u64, 0u64, 0u64);
     let mut probe = SweepProbe::start(sw.sample_every);
-    // 3rd loop: reference micro-panels
-    for s in 0..n_tiles {
-        let col0 = s * nr;
+    // 3rd loop: register blocks of reference micro-panels
+    for s0 in (0..n_tiles).step_by(K::STRIPS) {
+        let strips = K::STRIPS.min(n_tiles - s0);
+        let col0 = s0 * nr;
+        let next = col0 + strips * nr;
         // §2.4 rank-dc pipeline: the next Rc micro-panel streams toward L1
-        // while the ir sweep consumes this one.
+        // while the ir sweep consumes this block.
         #[cfg(target_arch = "x86_64")]
-        if s + 1 < n_tiles {
-            debug_assert!((col0 + nr) * dcb < sw.r_pack.len());
+        if next < n_cols {
+            debug_assert!(next * dcb < sw.r_pack.len());
             // SAFETY: a prefetch has no architectural effect; the address
             // is inside r_pack (asserted ≥ n_cols·dcb above).
             unsafe {
                 std::arch::x86_64::_mm_prefetch(
-                    sw.r_pack.as_ptr().add((col0 + nr) * dcb) as *const i8,
+                    sw.r_pack.as_ptr().add(next * dcb) as *const i8,
                     std::arch::x86_64::_MM_HINT_T0,
                 )
             };
         }
-        let ids = &sw.r_ids[col0..col0 + nr];
-        let sampled = probe.begin_strip(s);
+        let ids = &sw.r_ids[col0..next];
+        // a block samples as its first strip would (STRIP_SAMPLE is a
+        // multiple of every STRIPS, so the sampled share stays put)
+        let sampled = probe.begin_strip(s0);
         // 2nd loop: query micro-panels
         for t in 0..m_tiles {
-            gsknn_faults::fail_point!(gsknn_faults::FaultPoint::MicroKernel);
+            for _ in 0..strips {
+                gsknn_faults::fail_point!(gsknn_faults::FaultPoint::MicroKernel);
+            }
             let row0 = t * mr;
-            debug_assert!(row0 + mr <= m_rows && col0 + nr <= n_cols);
-            // SAFETY: tile (t, s) lies inside the extents asserted at the
-            // top — q_pack ≥ m_rows·dcb, r_pack ≥ n_cols·dcb, q2/thr ≥
-            // m_rows, r2 ≥ n_cols, prior ≥ (m_rows−1)·ldcc + n_cols — and
-            // `out` is MAX_TILE ≥ MR·NR; the ISA is the caller's contract.
-            let mut mask = unsafe {
-                kernel.tile(
+            debug_assert!(row0 + mr <= m_rows && next <= n_cols);
+            debug_assert!(sw
+                .prior
+                .is_none_or(|(cc, ldcc)| (row0 + mr - 1) * ldcc + next <= cc.len()));
+            // SAFETY: block (t, s0..s0 + strips) lies inside the extents
+            // asserted at the top — q_pack ≥ m_rows·dcb, r_pack ≥
+            // n_cols·dcb, q2/thr ≥ m_rows, r2 ≥ n_cols, prior ≥
+            // (m_rows−1)·ldcc + n_cols — `strips` ≤ K::STRIPS, and `out`
+            // is MAX_TILE·BLOCK_STRIPS ≥ strips·MR·NR; the ISA is the
+            // caller's contract.
+            let masks = unsafe {
+                kernel.block(
+                    strips,
                     dcb,
                     sw.q_pack.as_ptr().add(row0 * dcb),
                     sw.r_pack.as_ptr().add(col0 * dcb),
@@ -270,8 +318,30 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
             if sampled {
                 probe.lap_rank();
             }
-            if mask != 0 {
+            // a bound of this block's rows has tightened since it began
+            let mut moved = false;
+            for (s, &block_mask) in masks[..strips].iter().enumerate() {
+                // The block filtered every strip against the bounds it
+                // began with; a bound only tightens, so that mask is a
+                // superset. Once a pop has moved one, the next strips
+                // re-check theirs against the bounds their pops start
+                // from, as a lone tile would.
+                let mut mask = block_mask;
+                if moved {
+                    mask = 0;
+                    let mut bits = block_mask;
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let (i, j) = (bit / nr, bit % nr);
+                        mask |= u64::from(out[K::slot(s, i, j)] <= sw.thr[row0 + i]) << bit;
+                    }
+                }
+                if mask == 0 {
+                    continue;
+                }
                 gsknn_faults::fail_point!(gsknn_faults::FaultPoint::HeapSelect);
+                let ids = &ids[s * nr..];
                 let mut last_row = usize::MAX;
                 while mask != 0 {
                     let bit = mask.trailing_zeros() as usize;
@@ -285,7 +355,7 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
                     // does; compaction and `push` both re-check, so this
                     // stays exact.
                     let row = row0 + i;
-                    let cand = Neighbor::new(out[bit], ids[j] as u32);
+                    let cand = Neighbor::new(out[K::slot(s, i, j)], ids[j] as u32);
                     if !heaps_only && sw.reservoir.takes(row) {
                         if sw.reservoir.append(row, cand) {
                             let done = probe.compaction(sampled, || {
@@ -294,10 +364,12 @@ pub(crate) unsafe fn sweep_tiles<T: FusedScalar, K: SweepTile<T>>(
                             sw.thr[row] = done.threshold;
                             kept += done.admitted as u64;
                             compactions += 1;
+                            moved = true;
                         }
                     } else if sw.heaps[row].push(cand) {
                         kept += 1;
                         sw.thr[row] = sw.heaps[row].threshold();
+                        moved = true;
                     }
                 }
             }
@@ -352,8 +424,9 @@ struct FallbackTile(DistanceKind);
 
 impl<T: FusedScalar> SweepTile<T> for FallbackTile {
     #[inline(always)]
-    unsafe fn tile(
+    unsafe fn block(
         &self,
+        strips: usize,
         dcb: usize,
         ap: *const T,
         bp: *const T,
@@ -362,10 +435,10 @@ impl<T: FusedScalar> SweepTile<T> for FallbackTile {
         prior: Option<(*const T, usize)>,
         thr: *const T,
         out: *mut T,
-    ) -> u64 {
+    ) -> StripMasks {
         use std::slice::{from_raw_parts, from_raw_parts_mut};
         let (mr, nr) = (T::MR, T::NR);
-        debug_assert!(mr * nr <= 64, "lane mask is a u64");
+        debug_assert!(strips == 1 && mr * nr <= 64, "one tile, lane mask a u64");
         // SAFETY: exactly the extents the trait's contract grants.
         let (ap, bp, q2, r2, thr, out, prior) = unsafe {
             (
@@ -386,7 +459,7 @@ impl<T: FusedScalar> SweepTile<T> for FallbackTile {
                 mask |= u64::from(out[i * nr + j] <= thr[i]) << (i * nr + j);
             }
         }
-        mask
+        [mask, 0, 0, 0]
     }
 }
 
@@ -461,9 +534,16 @@ impl FusedScalar for f64 {
         }
     }
 
+    /// AVX-512F, else AVX2+FMA, else the provided sweep.
     #[cfg(target_arch = "x86_64")]
     fn fused_sweep(kind: DistanceKind, sweep: &mut Sweep<'_, f64>) {
-        if !matches!(kind, DistanceKind::Lp(_)) && avx2::available() {
+        if matches!(kind, DistanceKind::Lp(_)) {
+            sweep_fallback(kind, sweep)
+        } else if avx512::available() {
+            // SAFETY: AVX-512F and BMI2 checked (cpuid, read once and cached by
+            // `avx512::available`); the sweep asserts its own extents.
+            unsafe { avx512::sweep_avx512(kind, sweep) }
+        } else if avx2::available() {
             // SAFETY: AVX2+FMA checked.
             unsafe { avx2::sweep_avx2(kind, sweep) }
         } else {
@@ -899,17 +979,18 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     use crate::sweep_tests::{row_bits, RowBits};
 
-    /// Rows and counters of one sweep over a 3×5-tile block at depth 37;
-    /// even rows are seeded from the first columns (id-unique heaps the
-    /// reservoir bypasses), odd rows are fresh (reservoir rows).
+    /// Rows and counters of one sweep over a block of 3 × `n_tiles` tiles
+    /// at depth 37; even rows are seeded from the first columns (id-unique
+    /// heaps the reservoir bypasses), odd rows are fresh (reservoir rows).
     #[cfg(target_arch = "x86_64")]
     fn sweep_outcome<T: FusedScalar>(
         run: impl Fn(DistanceKind, &mut Sweep<'_, T>),
         kind: DistanceKind,
         with_prior: bool,
+        n_tiles: usize,
     ) -> (RowBits, KernelStats) {
         let (mr, nr) = (T::MR, T::NR);
-        let (m, n, d, k) = (3 * mr, 5 * nr, 37, 3);
+        let (m, n, d, k) = (3 * mr, n_tiles * nr, 37, 3);
         let x: PointSet<T> = uniform(m + n, d, 21).cast();
         let q_idx: Vec<usize> = (0..m).collect();
         let r_idx: Vec<usize> = (m..m + n).collect();
@@ -946,7 +1027,7 @@ mod tests {
                 q2: &q2,
                 r2: &r2,
                 m_tiles: 3,
-                n_tiles: 5,
+                n_tiles,
                 prior: with_prior.then_some((&cc[..], ldcc)),
                 r_ids: &r_idx,
                 heaps: &mut heaps,
@@ -963,8 +1044,10 @@ mod tests {
         (row_bits(heaps), stats)
     }
 
+    /// 4 to 7 strips: a full AVX-512 register block, then one with every
+    /// tail of 1–3 strips.
     #[cfg(target_arch = "x86_64")]
-    fn avx2_sweep_agrees_with_provided_for<T: FusedScalar>(
+    fn simd_sweep_agrees_with_provided_for<T: FusedScalar>(
         simd: unsafe fn(DistanceKind, &mut Sweep<'_, T>),
     ) {
         for kind in [
@@ -974,37 +1057,46 @@ mod tests {
             DistanceKind::Cosine,
         ] {
             for with_prior in [false, true] {
-                let provided = sweep_outcome::<T>(sweep_fallback, kind, with_prior);
-                // SAFETY: the caller checked AVX2+FMA.
-                let got = sweep_outcome::<T>(|k, sw| unsafe { simd(k, sw) }, kind, with_prior);
-                assert_eq!(
-                    got,
-                    provided,
-                    "{} {} prior={with_prior}",
-                    T::NAME,
-                    kind.name()
-                );
-                assert_eq!(got.1.tiles, 15);
-                assert_eq!(got.1.rows_filtered + got.1.rows_scanned, 15 * T::MR as u64);
-                assert!(got.1.rows_filtered > 0 && got.1.candidates_kept > 0);
-                // 12 fresh rows of k = 3 over 5·NR columns
-                assert!(got.1.compactions >= 12 * 2, "{:?}", got.1);
+                for n_tiles in 4..8 {
+                    let provided = sweep_outcome::<T>(sweep_fallback, kind, with_prior, n_tiles);
+                    // SAFETY: the caller checked the sweep's ISA.
+                    let simd = |k, sw: &mut Sweep<'_, T>| unsafe { simd(k, sw) };
+                    let got = sweep_outcome::<T>(simd, kind, with_prior, n_tiles);
+                    assert_eq!(
+                        got,
+                        provided,
+                        "{} {} prior={with_prior} n_tiles={n_tiles}",
+                        T::NAME,
+                        kind.name()
+                    );
+                    let tiles = 3 * n_tiles as u64;
+                    assert_eq!(got.1.tiles, tiles);
+                    assert_eq!(
+                        got.1.rows_filtered + got.1.rows_scanned,
+                        tiles * T::MR as u64
+                    );
+                    assert!(got.1.rows_filtered > 0 && got.1.candidates_kept > 0);
+                    // 12 fresh rows of k = 3 over at least 4·NR columns
+                    assert!(got.1.compactions >= 12 * 2, "{:?}", got.1);
+                }
             }
         }
     }
 
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn avx2_sweeps_agree_with_provided_sweep() {
+    fn simd_sweeps_agree_with_provided_sweep() {
         // No CI host takes the provided sweep for a vectorizable norm, so
-        // call it directly: same rows, same bits, same counters as the
-        // AVX2 macro-kernel (it steps through the AVX2 *tile*, so this
+        // call it directly: same rows, same bits, same counters as each
+        // SIMD macro-kernel (it steps through the AVX2 *tile*, so this
         // also pins sweep ≡ tile_pass bit for bit).
-        if !avx2::available() {
-            return;
+        if avx2::available() {
+            simd_sweep_agrees_with_provided_for::<f64>(avx2::sweep_avx2);
+            simd_sweep_agrees_with_provided_for::<f32>(avx2_f32::sweep_avx2_f32);
         }
-        avx2_sweep_agrees_with_provided_for::<f64>(avx2::sweep_avx2);
-        avx2_sweep_agrees_with_provided_for::<f32>(avx2_f32::sweep_avx2_f32);
+        if avx512::available() {
+            simd_sweep_agrees_with_provided_for::<f64>(avx512::sweep_avx512);
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! * terminals: `for_each`, `collect::<Vec<_>>()`
 //!
 //! Unlike rayon there is no work-stealing pool: each call site splits its
-//! items into contiguous index-order chunks and runs them on
-//! `std::thread::scope` threads (one per available core, capped by item
-//! count). Results are gathered back in input order, so `map().collect()`
-//! is order-preserving exactly like rayon's indexed parallel iterators.
+//! items into contiguous index-order chunks (one per available core,
+//! capped by item count) and runs the first on the calling thread, the
+//! rest on `std::thread::scope` threads. Results are gathered back in
+//! input order, so `map().collect()` is order-preserving exactly like
+//! rayon's indexed parallel iterators.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -45,6 +46,29 @@ fn split<T>(mut items: Vec<T>, nt: usize) -> Vec<Vec<T>> {
     out
 }
 
+/// Run `work` on every chunk: `chunks[1..]` on scoped threads, `chunks[0]`
+/// on the calling thread meanwhile (it would only wait on the join), and
+/// gather the results in input order.
+fn run_chunks<T, R, W>(chunks: Vec<Vec<T>>, work: &W) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    W: Fn(Vec<T>) -> Vec<R> + Sync,
+{
+    let mut chunks = chunks.into_iter();
+    let Some(first) = chunks.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = chunks.map(|chunk| s.spawn(move || work(chunk))).collect();
+        let mut gathered = work(first);
+        for h in handles {
+            gathered.extend(h.join().expect("rayon-shim worker panicked"));
+        }
+        gathered
+    })
+}
+
 /// Map every item through `f` on scoped threads, preserving input order.
 fn run_map<T, R, F>(items: Vec<T>, f: &F) -> Vec<R>
 where
@@ -55,18 +79,9 @@ where
     if items.len() <= 1 || current_num_threads() == 1 {
         return items.into_iter().map(f).collect();
     }
-    let chunks = split(items, current_num_threads());
-    let mut gathered: Vec<Vec<R>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            gathered.push(h.join().expect("rayon-shim worker panicked"));
-        }
-    });
-    gathered.into_iter().flatten().collect()
+    run_chunks(split(items, current_num_threads()), &|chunk: Vec<T>| {
+        chunk.into_iter().map(f).collect()
+    })
 }
 
 /// Like [`run_map`], but each worker thread builds one `init()` state and
@@ -83,26 +98,10 @@ where
         let mut state = init();
         return items.into_iter().map(|t| f(&mut state, t)).collect();
     }
-    let chunks = split(items, current_num_threads());
-    let mut gathered: Vec<Vec<R>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move || {
-                    let mut state = init();
-                    chunk
-                        .into_iter()
-                        .map(|t| f(&mut state, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            gathered.push(h.join().expect("rayon-shim worker panicked"));
-        }
-    });
-    gathered.into_iter().flatten().collect()
+    run_chunks(split(items, current_num_threads()), &|chunk: Vec<T>| {
+        let mut state = init();
+        chunk.into_iter().map(|t| f(&mut state, t)).collect()
+    })
 }
 
 /// An eager "parallel iterator": the items are materialized up front
@@ -361,6 +360,19 @@ mod tests {
         assert_eq!(out, (0..512).map(|x| x * 2).collect::<Vec<_>>());
         // one init per worker thread, not per item
         assert!(inits.load(Ordering::Relaxed) <= crate::current_num_threads());
+    }
+
+    #[test]
+    fn the_first_chunk_runs_on_the_calling_thread() {
+        use std::thread::{current, ThreadId};
+        let ran_on: Vec<ThreadId> = vec![0u8, 1]
+            .into_par_iter()
+            .map_init(|| current().id(), |id, _| *id)
+            .collect();
+        assert_eq!(ran_on[0], current().id());
+        if crate::current_num_threads() > 1 {
+            assert_ne!(ran_on[1], current().id(), "the second chunk is spawned");
+        }
     }
 
     #[test]
